@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"scalefree/internal/graph"
+	"scalefree/internal/xrand"
 )
 
 // Build-path benchmarks: the legacy mutable-Graph path (per-node slice
-// appends + multiplicity map, then Freeze) versus the direct-CSR path
+// appends, then Freeze) versus the direct-CSR path
 // (chunked edge buffers + parallel count/scatter), at the scales the
 // experiment engine builds per realization. The *Graph variants include
 // the freeze the sim pipeline performs, so the pair compares the full
@@ -122,6 +123,63 @@ func BenchmarkGRNBuildCSRArena(b *testing.B) {
 	reportSnapshotBytes(b, sinkFrozen, false, 16*benchGRNNodes)
 }
 
-// sinkFrozen keeps the built snapshots observable so the compiler cannot
-// elide a build.
-var sinkFrozen *graph.Frozen
+// BenchmarkGrowth times the four growth models on the mutable Graph, each
+// on one fixed seed so every iteration (and every commit) does exactly the
+// same work: the same draws, hops and attempts. HAPA is fig3's kc=10 hop
+// walk; DAPA grows on a substrate built once outside the timer, as the
+// experiment engine shares one substrate across overlays.
+func BenchmarkGrowth(b *testing.B) {
+	build := func() Build { return NewBuild(phasesFor(1, 0), 1) }
+	b.Run("pa", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g, _, err := PABuild(PAConfig{N: 20_000, M: 2, KC: 40}, build())
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkGraph = g
+		}
+	})
+	b.Run("hapa", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g, _, err := HAPABuild(HAPAConfig{N: 2_000, M: 1, KC: 10}, build())
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkGraph = g
+		}
+	})
+	b.Run("nlpa", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g, _, err := NLPA(NLPAConfig{N: 20_000, M: 2, KC: 40, Alpha: 0.5}, xrand.New(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkGraph = g
+		}
+	})
+	b.Run("dapa", func(b *testing.B) {
+		sub, _, err := GRNFrozen(GRNConfig{N: 4_000, MeanDegree: 10}, build())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ov, _, err := DAPABuild(sub, DAPAConfig{NOverlay: 2_000, M: 2, KC: 10, TauSub: 4}, build())
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkGraph = ov.G
+		}
+	})
+}
+
+// sinkFrozen and sinkGraph keep the built topologies observable so the
+// compiler cannot elide a build.
+var (
+	sinkFrozen *graph.Frozen
+	sinkGraph  *graph.Graph
+)

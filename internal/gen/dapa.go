@@ -256,7 +256,7 @@ func DAPABuild(sub *graph.Frozen, cfg DAPAConfig, b Build) (*Overlay, Stats, err
 		horizon = horizon[:0]
 		for _, v := range candBalls[i] {
 			oid := ov.OverlayID[v]
-			if oid >= 0 && cutoffOK(ov.G, oid, cfg.KC) {
+			if oid >= 0 && cutoffOK(ov.G.Degree(oid), cfg.KC) {
 				horizon = append(horizon, oid)
 			}
 		}
@@ -347,10 +347,11 @@ func dapaPreferential(g *graph.Graph, id int, horizon []int, cfg DAPAConfig, rng
 		for attempt := 0; attempt < dapaAttemptBudget; attempt++ {
 			st.Attempts++
 			peer := horizon[rng.Intn(len(horizon))]
-			if g.HasEdge(id, peer) || !cutoffOK(g, peer, cfg.KC) {
+			k := g.Degree(peer)
+			if !cutoffOK(k, cfg.KC) || linked(g, id, peer) {
 				continue
 			}
-			if kTotal > 0 && rng.Float64() >= float64(g.Degree(peer))/float64(kTotal) {
+			if kTotal > 0 && rng.Float64() >= float64(k)/float64(kTotal) {
 				continue
 			}
 			mustEdge(g, id, peer)
@@ -365,9 +366,9 @@ func dapaPreferential(g *graph.Graph, id int, horizon []int, cfg DAPAConfig, rng
 		var cands []int
 		var weights []float64
 		for _, p := range horizon {
-			if !g.HasEdge(id, p) && cutoffOK(g, p, cfg.KC) {
+			if k := g.Degree(p); cutoffOK(k, cfg.KC) && !linked(g, id, p) {
 				cands = append(cands, p)
-				weights = append(weights, float64(g.Degree(p)))
+				weights = append(weights, float64(k))
 			}
 		}
 		idx := rng.Choose(weights)

@@ -15,6 +15,7 @@ package gen
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"scalefree/internal/graph"
 	"scalefree/internal/xrand"
@@ -90,13 +91,14 @@ var (
 
 // Stats reports what happened during generation. Beyond debugging, it backs
 // the paper-fidelity checks in EXPERIMENTS.md (e.g. how many CM edges were
-// removed as self-loops, how often PA's rejection loop needed the uniform
-// fallback).
+// removed as self-loops, how often PA's rejection loop needed the exact
+// degree-weighted fallback).
 type Stats struct {
 	// Attempts counts candidate evaluations across all rejection loops.
 	Attempts int
-	// Fallbacks counts stubs placed by the uniform fallback after the
-	// preferential rejection loop exceeded its attempt budget.
+	// Fallbacks counts stubs placed by the exact degree-weighted fallback
+	// draw (paFallback, or DAPA's draw over its horizon) after the
+	// preferential rejection loop or the hop walk exhausted its budget.
 	Fallbacks int
 	// UnfilledStubs counts stubs that could not be placed at all (every
 	// candidate saturated or already connected).
@@ -118,10 +120,18 @@ type Stats struct {
 	Joined int
 }
 
-// cutoffOK reports whether node u may accept one more link under hard
-// cutoff kc (paper: condition k_node < kc).
-func cutoffOK(g *graph.Graph, u, kc int) bool {
-	return kc == NoCutoff || g.Degree(u) < kc
+// cutoffOK reports whether a node of degree k may accept one more link
+// under hard cutoff kc (paper: condition k_node < kc).
+func cutoffOK(k, kc int) bool {
+	return kc == NoCutoff || k < kc
+}
+
+// linked reports whether the joining node i already links to v. Every
+// growth model asks this about the node it is growing, which holds at most
+// m links, so a scan of i's own list is the cheapest membership test there
+// is and touches no other node's memory.
+func linked(g *graph.Graph, i, v int) bool {
+	return slices.Contains(g.Neighbors(i), int32(v))
 }
 
 // seedClique builds the initial network of m+1 fully connected nodes that

@@ -96,13 +96,16 @@ func HAPABuild(cfg HAPAConfig, b Build) (*graph.Graph, Stats, error) {
 				}
 				pos = rng.Intn(i)
 			}
-			// Hop along an existing link (Appendix C line 10).
-			next := g.RandomNeighbor(pos, rng)
+			// Hop along an existing link (Appendix C line 10). The draw is
+			// Graph.RandomNeighbor's, inlined so it calls the concrete RNG.
+			next := -1
+			if nb := g.Neighbors(pos); len(nb) > 0 {
+				next = int(nb[rng.Intn(len(nb))])
+			}
 			if next < 0 || next >= i {
-				// Neighbor may be a node joined later in ID order only
-				// when pos == i, which cannot happen; next < 0 means an
-				// isolated node, possible only for unfilled earlier
-				// joins — restart.
+				// next < 0: pos is isolated, possible only for unfilled
+				// earlier joins; next == i: the hop led back onto the
+				// joining node through one of its new links — restart.
 				pos = rng.Intn(i)
 				continue
 			}
@@ -124,10 +127,11 @@ func HAPABuild(cfg HAPAConfig, b Build) (*graph.Graph, Stats, error) {
 // k_pos/k_total.
 func hapaAttempt(g *graph.Graph, i, pos, kc, kTotal int, rng *xrand.RNG, st *Stats) bool {
 	st.Attempts++
-	if pos == i || g.HasEdge(i, pos) || !cutoffOK(g, pos, kc) {
+	k := g.Degree(pos)
+	if pos == i || !cutoffOK(k, kc) || linked(g, i, pos) {
 		return false
 	}
-	if rng.Float64() >= float64(g.Degree(pos))/float64(kTotal) {
+	if rng.Float64() >= float64(k)/float64(kTotal) {
 		return false
 	}
 	mustEdge(g, i, pos)

@@ -73,11 +73,11 @@ func NLPA(cfg NLPAConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
 			for attempt := 0; attempt < paAttemptBudget; attempt++ {
 				st.Attempts++
 				cand := int(stubs[rng.Intn(len(stubs))])
-				if cand == i || g.HasEdge(i, cand) || !cutoffOK(g, cand, cfg.KC) {
+				k := g.Degree(cand)
+				if cand == i || !cutoffOK(k, cfg.KC) || linked(g, i, cand) {
 					continue
 				}
 				// Re-weight k -> k^Alpha.
-				k := float64(g.Degree(cand))
 				var norm float64
 				if cfg.Alpha <= 1 {
 					norm = math.Pow(float64(cfg.M), a) // max of k^a over k >= m
@@ -87,7 +87,7 @@ func NLPA(cfg NLPAConfig, rng *xrand.RNG) (*graph.Graph, Stats, error) {
 				} else {
 					norm = math.Pow(float64(maxDeg), a)
 				}
-				if norm > 0 && rng.Float64() >= math.Pow(k, a)/norm {
+				if norm > 0 && rng.Float64() >= math.Pow(float64(k), a)/norm {
 					continue
 				}
 				mustEdge(g, i, cand)
@@ -177,7 +177,7 @@ func Fitness(cfg FitnessConfig, rng *xrand.RNG) (*graph.Graph, []float64, Stats,
 			for attempt := 0; attempt < paAttemptBudget; attempt++ {
 				st.Attempts++
 				cand := int(stubs[rng.Intn(len(stubs))])
-				if cand == i || g.HasEdge(i, cand) || !cutoffOK(g, cand, cfg.KC) {
+				if cand == i || !cutoffOK(g.Degree(cand), cfg.KC) || linked(g, i, cand) {
 					continue
 				}
 				if rng.Float64() >= eta[cand] {
@@ -208,9 +208,9 @@ func fitnessFallback(g *graph.Graph, i, kc int, eta []float64, rng *xrand.RNG) i
 	var cands []int
 	var weights []float64
 	for u := 0; u < i; u++ {
-		if u != i && !g.HasEdge(i, u) && cutoffOK(g, u, kc) && g.Degree(u) > 0 {
+		if k := g.Degree(u); k > 0 && cutoffOK(k, kc) && !linked(g, i, u) {
 			cands = append(cands, u)
-			weights = append(weights, eta[u]*float64(g.Degree(u)))
+			weights = append(weights, eta[u]*float64(k))
 		}
 	}
 	idx := rng.Choose(weights)

@@ -86,7 +86,7 @@ func PABuild(cfg PAConfig, b Build) (*graph.Graph, Stats, error) {
 			for attempt := 0; attempt < paAttemptBudget; attempt++ {
 				st.Attempts++
 				cand := int(stubs[rng.Intn(len(stubs))])
-				if cand == i || g.HasEdge(i, cand) || !cutoffOK(g, cand, cfg.KC) {
+				if cand == i || !cutoffOK(g.Degree(cand), cfg.KC) || linked(g, i, cand) {
 					continue
 				}
 				mustEdge(g, i, cand)
@@ -114,6 +114,7 @@ func PABuild(cfg PAConfig, b Build) (*graph.Graph, Stats, error) {
 // probability k_cand/k_total, cutoff and adjacency conditions, repeated
 // until the stub is placed.
 func paLiteral(g *graph.Graph, cfg PAConfig, rng *xrand.RNG, st *Stats) error {
+	kTotal := g.TotalDegree()
 	for i := cfg.M + 1; i < cfg.N; i++ {
 		for j := 0; j < cfg.M; j++ {
 			placed := false
@@ -123,14 +124,15 @@ func paLiteral(g *graph.Graph, cfg PAConfig, rng *xrand.RNG, st *Stats) error {
 			for attempt := 0; attempt < budget; attempt++ {
 				st.Attempts++
 				cand := rng.Intn(i)
-				kTotal := g.TotalDegree()
-				if g.HasEdge(i, cand) || !cutoffOK(g, cand, cfg.KC) {
+				k := g.Degree(cand)
+				if !cutoffOK(k, cfg.KC) || linked(g, i, cand) {
 					continue
 				}
-				if rng.Float64() >= float64(g.Degree(cand))/float64(kTotal) {
+				if rng.Float64() >= float64(k)/float64(kTotal) {
 					continue
 				}
 				mustEdge(g, i, cand)
+				kTotal += 2
 				placed = true
 				break
 			}
@@ -138,6 +140,7 @@ func paLiteral(g *graph.Graph, cfg PAConfig, rng *xrand.RNG, st *Stats) error {
 				if cand := paFallback(g, i, cfg.KC, rng); cand >= 0 {
 					st.Fallbacks++
 					mustEdge(g, i, cand)
+					kTotal += 2
 				} else {
 					st.UnfilledStubs++
 				}
@@ -153,9 +156,9 @@ func paFallback(g *graph.Graph, i, kc int, rng *xrand.RNG) int {
 	var cands []int
 	var weights []float64
 	for u := 0; u < i; u++ {
-		if u != i && !g.HasEdge(i, u) && cutoffOK(g, u, kc) && g.Degree(u) > 0 {
+		if k := g.Degree(u); k > 0 && cutoffOK(k, kc) && !linked(g, i, u) {
 			cands = append(cands, u)
-			weights = append(weights, float64(g.Degree(u)))
+			weights = append(weights, float64(k))
 		}
 	}
 	idx := rng.Choose(weights)

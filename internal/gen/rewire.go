@@ -79,11 +79,11 @@ func LocalEvents(cfg LocalEventsConfig, rng *xrand.RNG) (*graph.Graph, Stats, er
 		for attempt := 0; attempt < paAttemptBudget; attempt++ {
 			st.Attempts++
 			cand := int(stubs[rng.Intn(len(stubs))])
-			if cand != from && !g.HasEdge(from, cand) && cutoffOK(g, cand, cfg.KC) {
+			if cand != from && cutoffOK(g.Degree(cand), cfg.KC) && !g.HasEdge(from, cand) {
 				return cand
 			}
 		}
-		if cand := paFallback(g, from, cfg.KC, rng); cand >= 0 && cand != from && !g.HasEdge(from, cand) {
+		if cand := paFallback(g, from, cfg.KC, rng); cand >= 0 {
 			st.Fallbacks++
 			return cand
 		}
@@ -97,7 +97,7 @@ func LocalEvents(cfg LocalEventsConfig, rng *xrand.RNG) (*graph.Graph, Stats, er
 			// Add M edges between existing nodes.
 			for j := 0; j < cfg.M; j++ {
 				from := rng.Intn(g.N())
-				if !cutoffOK(g, from, cfg.KC) {
+				if !cutoffOK(g.Degree(from), cfg.KC) {
 					continue
 				}
 				to := preferential(from)

@@ -294,9 +294,9 @@ func benchGraph(b *testing.B) *Graph {
 	return g
 }
 
-// BenchmarkHasEdgeMap measures the historical read path: the global
-// edge-multiplicity map probe.
-func BenchmarkHasEdgeMap(b *testing.B) {
+// BenchmarkHasEdgeScan measures the mutable read path: a linear scan of
+// the shorter endpoint's adjacency list.
+func BenchmarkHasEdgeScan(b *testing.B) {
 	g := benchGraph(b)
 	rng := xrand.New(8)
 	n := g.N()

@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzReadEdgeList hardens the parser against arbitrary input: it must
-// never panic, and any successfully parsed graph must round-trip through
-// WriteEdgeList with identical structure.
+// never panic, any successfully parsed graph must round-trip through
+// WriteEdgeList with identical structure, and writing the re-parsed graph
+// must reproduce the first write byte for byte.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("# nodes 3\n0 1\n1 2\n")
 	f.Add("0 0\n")
@@ -40,12 +41,20 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err := g.WriteEdgeList(&buf); err != nil {
 			t.Fatalf("write after parse: %v", err)
 		}
+		first := buf.String()
 		g2, err := ReadEdgeList(&buf)
 		if err != nil {
 			t.Fatalf("re-parse of own output: %v", err)
 		}
 		if g2.N() != g.N() || g2.M() != g.M() {
 			t.Fatalf("round trip changed shape: N %d->%d M %d->%d", g.N(), g2.N(), g.M(), g2.M())
+		}
+		var again bytes.Buffer
+		if err := g2.WriteEdgeList(&again); err != nil {
+			t.Fatalf("write after re-parse: %v", err)
+		}
+		if again.String() != first {
+			t.Fatalf("re-write not byte-identical:\n%q\nvs\n%q", first, again.String())
 		}
 	})
 }

@@ -4,8 +4,11 @@
 // Design goals, in order:
 //
 //  1. Predictable performance at paper scale (N = 10^5 nodes, ~3·10^5 edges):
-//     O(1) edge insertion and membership tests, O(1) random-neighbor
-//     selection, O(V+E) traversals.
+//     amortized O(1) edge insertion, O(1) random-neighbor selection,
+//     membership tests in O(min(deg u, deg v)), O(V+E) traversals. The
+//     growth models only ever ask whether the joining node (at most m
+//     links) already links to a candidate, so a short adjacency scan beats
+//     a global hash probe there.
 //  2. Multigraph tolerance: the configuration model (Appendix B of the
 //     paper) wires random stub pairs first and deletes self-loops and
 //     multi-edges afterwards, so the structure must represent them
@@ -14,16 +17,17 @@
 //     fixed RNG seed reproduces identical graphs and search traces.
 //
 // Nodes are dense integer IDs 0..N-1. Adjacency is stored as per-node
-// neighbor slices (int32 to halve memory at paper scale) plus a global
-// edge-multiplicity map for O(1) HasEdge. Once a topology stops mutating,
-// Freeze snapshots it into the CSR Frozen form (frozen.go) — the flat
-// read path every search kernel and structural metric runs on.
+// neighbor slices (int32 to halve memory at paper scale) and nothing else:
+// edge multiplicities are counted off the lists when asked for. Once a
+// topology stops mutating, Freeze snapshots it into the CSR Frozen form
+// (frozen.go) — the flat read path every search kernel and structural
+// metric runs on.
 package graph
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ErrNodeRange is returned when an operation references a node ID outside
@@ -36,24 +40,12 @@ var ErrNodeRange = errors.New("graph: node out of range")
 // are safe.
 type Graph struct {
 	adj   [][]int32
-	count map[uint64]int32 // edge multiplicity; self-loop keyed (u,u)
-	edges int              // number of edges counting multiplicity
+	edges int // number of edges counting multiplicity
 }
 
 // New returns a graph with n isolated nodes.
 func New(n int) *Graph {
-	return &Graph{
-		adj:   make([][]int32, n),
-		count: make(map[uint64]int32, 4*n),
-	}
-}
-
-// edgeKey packs an unordered node pair into a map key.
-func edgeKey(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
+	return &Graph{adj: make([][]int32, n)}
 }
 
 // N returns the number of nodes.
@@ -69,23 +61,20 @@ func (g *Graph) AddNode() int {
 	return len(g.adj) - 1
 }
 
-// check validates node IDs.
-func (g *Graph) check(nodes ...int) error {
-	for _, u := range nodes {
-		if u < 0 || u >= len(g.adj) {
-			return fmt.Errorf("%w: %d (n=%d)", ErrNodeRange, u, len(g.adj))
-		}
-	}
-	return nil
-}
+// has reports whether u is a valid node ID.
+func (g *Graph) has(u int) bool { return uint(u) < uint(len(g.adj)) }
 
 // AddEdge inserts an undirected edge {u,v}. Parallel edges and self-loops
 // are permitted (the configuration model needs them); use HasEdge to guard
 // when building simple graphs. A self-loop appears twice in u's adjacency
 // list, following the degree convention deg(u) += 2.
 func (g *Graph) AddEdge(u, v int) error {
-	if err := g.check(u, v); err != nil {
-		return err
+	if !g.has(u) || !g.has(v) {
+		bad := u
+		if g.has(u) {
+			bad = v
+		}
+		return fmt.Errorf("%w: %d (n=%d)", ErrNodeRange, bad, len(g.adj))
 	}
 	ui, vi := int32(u), int32(v)
 	g.adj[u] = append(g.adj[u], vi)
@@ -94,7 +83,6 @@ func (g *Graph) AddEdge(u, v int) error {
 	} else {
 		g.adj[v] = append(g.adj[v], ui)
 	}
-	g.count[edgeKey(ui, vi)]++
 	g.edges++
 	return nil
 }
@@ -102,60 +90,74 @@ func (g *Graph) AddEdge(u, v int) error {
 // RemoveEdge deletes one copy of edge {u,v} if present, reporting whether an
 // edge was removed.
 func (g *Graph) RemoveEdge(u, v int) bool {
-	if g.check(u, v) != nil {
+	if !g.has(u) || !g.has(v) || !g.removeOneFromAdj(u, int32(v)) {
 		return false
 	}
-	key := edgeKey(int32(u), int32(v))
-	if g.count[key] == 0 {
-		return false
-	}
-	g.count[key]--
-	if g.count[key] == 0 {
-		delete(g.count, key)
-	}
+	// Adjacency entries come in matched pairs (v in u's list, u in v's;
+	// or two u entries for a self-loop), so the partner is present.
+	g.removeOneFromAdj(v, int32(u))
 	g.edges--
-	g.removeOneFromAdj(u, int32(v))
-	if u == v {
-		g.removeOneFromAdj(u, int32(v))
-	} else {
-		g.removeOneFromAdj(v, int32(u))
-	}
 	return true
 }
 
 // removeOneFromAdj removes a single occurrence of w from u's adjacency via
-// swap-with-last (order of remaining neighbors is perturbed deterministically).
-func (g *Graph) removeOneFromAdj(u int, w int32) {
+// swap-with-last (order of remaining neighbors is perturbed
+// deterministically), reporting whether w was present.
+func (g *Graph) removeOneFromAdj(u int, w int32) bool {
 	a := g.adj[u]
 	for i, x := range a {
 		if x == w {
 			a[i] = a[len(a)-1]
 			g.adj[u] = a[:len(a)-1]
-			return
+			return true
 		}
 	}
+	return false
 }
 
-// HasEdge reports whether at least one edge {u,v} exists.
+// shorterList returns the shorter of u's and v's adjacency lists and the
+// entry that stands for the other endpoint in it; both IDs must be valid.
+func (g *Graph) shorterList(u, v int) ([]int32, int32) {
+	if a, b := g.adj[u], g.adj[v]; len(b) < len(a) {
+		return b, int32(u)
+	}
+	return g.adj[u], int32(v)
+}
+
+// HasEdge reports whether at least one edge {u,v} exists, by scanning the
+// shorter of the two adjacency lists.
 func (g *Graph) HasEdge(u, v int) bool {
-	if g.check(u, v) != nil {
+	if !g.has(u) || !g.has(v) {
 		return false
 	}
-	return g.count[edgeKey(int32(u), int32(v))] > 0
+	a, w := g.shorterList(u, v)
+	return slices.Contains(a, w)
 }
 
-// EdgeMultiplicity returns the number of parallel edges between u and v.
+// EdgeMultiplicity returns the number of parallel edges between u and v
+// (for u == v, the number of self-loops: each one is two adjacency
+// entries).
 func (g *Graph) EdgeMultiplicity(u, v int) int {
-	if g.check(u, v) != nil {
+	if !g.has(u) || !g.has(v) {
 		return 0
 	}
-	return int(g.count[edgeKey(int32(u), int32(v))])
+	a, w := g.shorterList(u, v)
+	c := 0
+	for _, x := range a {
+		if x == w {
+			c++
+		}
+	}
+	if u == v {
+		c /= 2
+	}
+	return c
 }
 
 // Degree returns the degree of u; self-loops count twice. Out-of-range
 // nodes have degree 0.
 func (g *Graph) Degree(u int) int {
-	if g.check(u) != nil {
+	if !g.has(u) {
 		return 0
 	}
 	return len(g.adj[u])
@@ -165,7 +167,7 @@ func (g *Graph) Degree(u int) int {
 // storage: callers must not mutate it and must not hold it across
 // mutations. Self-loops appear twice; parallel edges appear per copy.
 func (g *Graph) Neighbors(u int) []int32 {
-	if g.check(u) != nil {
+	if !g.has(u) {
 		return nil
 	}
 	return g.adj[u]
@@ -236,52 +238,53 @@ func (g *Graph) DegreeHistogram() []int {
 // of the configuration model (Appendix B): "after this procedure we simply
 // delete the multiple connections and self-loops".
 //
-// Keys are processed in sorted order so the post-cleanup adjacency order —
-// and therefore every downstream order-sensitive traversal — is identical
-// across runs (the package's determinism guarantee).
+// Edges are processed in ascending (min, max) endpoint order so the
+// post-cleanup adjacency order — and therefore every downstream
+// order-sensitive traversal — is identical across runs (the package's
+// determinism guarantee). Node u's keys (u, v≥u) are read off u's list
+// just before u's turn: deletions for earlier keys (u', v) with u' < u
+// only ever take u' entries out of u's list, so the v≥u half, and its
+// multiplicities, are still those of the input.
 func (g *Graph) Simplify() (selfLoops, multiEdges int) {
-	keys := make([]uint64, 0, len(g.count))
-	for key := range g.count {
-		keys = append(keys, key)
-	}
-	sortUint64s(keys)
-	for _, key := range keys {
-		c := g.count[key]
-		u := int(int32(key >> 32))
-		v := int(int32(uint32(key)))
-		if u == v {
-			for i := int32(0); i < c; i++ {
-				selfLoops++
-				g.RemoveEdge(u, v)
+	var half []int32
+	for u := range g.adj {
+		half = half[:0]
+		for _, v := range g.adj[u] {
+			if int(v) >= u {
+				half = append(half, v)
 			}
-			continue
 		}
-		for c > 1 {
-			multiEdges++
-			g.RemoveEdge(u, v)
-			c--
+		slices.Sort(half)
+		for i := 0; i < len(half); {
+			v := half[i]
+			j := i + 1
+			for j < len(half) && half[j] == v {
+				j++
+			}
+			c := j - i
+			if int(v) == u {
+				// c entries are c/2 self-loops; delete them all.
+				for k := 0; k < c/2; k++ {
+					selfLoops++
+					g.RemoveEdge(u, u)
+				}
+			} else {
+				for k := 1; k < c; k++ {
+					multiEdges++
+					g.RemoveEdge(u, int(v))
+				}
+			}
+			i = j
 		}
 	}
 	return selfLoops, multiEdges
 }
 
-// sortUint64s sorts a uint64 slice ascending.
-func sortUint64s(xs []uint64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
-
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		adj:   make([][]int32, len(g.adj)),
-		count: make(map[uint64]int32, len(g.count)),
-		edges: g.edges,
-	}
+	c := &Graph{adj: make([][]int32, len(g.adj)), edges: g.edges}
 	for u, a := range g.adj {
 		c.adj[u] = append([]int32(nil), a...)
-	}
-	for k, v := range g.count {
-		c.count[k] = v
 	}
 	return c
 }
@@ -297,7 +300,7 @@ type randSource interface {
 // none. Parallel edges weight their endpoint proportionally, matching a
 // uniform choice over adjacency entries (the behavior random walks expect).
 func (g *Graph) RandomNeighbor(u int, rng randSource) int {
-	if g.check(u) != nil || len(g.adj[u]) == 0 {
+	if !g.has(u) || len(g.adj[u]) == 0 {
 		return -1
 	}
 	return int(g.adj[u][rng.Intn(len(g.adj[u]))])
@@ -307,7 +310,7 @@ func (g *Graph) RandomNeighbor(u int, rng randSource) int {
 // than excl, or -1 if none exists. Random-walk search uses this to avoid
 // immediately bouncing back to the forwarding node (paper §V-A3).
 func (g *Graph) RandomNeighborExcluding(u, excl int, rng randSource) int {
-	if g.check(u) != nil {
+	if !g.has(u) {
 		return -1
 	}
 	a := g.adj[u]

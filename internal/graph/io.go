@@ -10,25 +10,48 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"iter"
 	"strconv"
 	"strings"
 )
 
+// edgeCopies yields every edge copy once, smaller endpoint first, in
+// adjacency order: node u ascending, then u's list in insertion order. A
+// self-loop is yielded once per pair of u entries. The order depends only
+// on the graph, so the writers below are byte-reproducible.
+func (g *Graph) edgeCopies() iter.Seq2[int, int] {
+	return func(yield func(u, v int) bool) {
+		for u, a := range g.adj {
+			odd := false
+			for _, w := range a {
+				v := int(w)
+				if v == u {
+					if odd = !odd; odd {
+						continue
+					}
+				} else if v < u {
+					continue
+				}
+				if !yield(u, v) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // WriteEdgeList writes g in edge-list format. Each undirected edge is
-// written once (smaller endpoint first); parallel edges are written per
-// copy and self-loops as "u u".
+// written once (smaller endpoint first) in adjacency order; parallel edges
+// are written per copy and self-loops as "u u". Writing the same graph
+// twice gives the same bytes.
 func (g *Graph) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# nodes %d\n", g.N()); err != nil {
 		return fmt.Errorf("write header: %w", err)
 	}
-	for key, c := range g.count {
-		u := int64(int32(key >> 32))
-		v := int64(int32(uint32(key)))
-		for i := int32(0); i < c; i++ {
-			if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
-				return fmt.Errorf("write edge: %w", err)
-			}
+	for u, v := range g.edgeCopies() {
+		if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
+			return fmt.Errorf("write edge: %w", err)
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -95,8 +118,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 
 // WriteDOT writes g in Graphviz DOT format (`graph` block, one "u -- v"
 // line per undirected edge, degree-scaled node sizes), for visual
-// inspection with dot/neato/sfdp. Self-loops and parallel edges are
-// emitted per copy, matching WriteEdgeList.
+// inspection with dot/neato/sfdp. Edges are emitted in WriteEdgeList's
+// order, self-loops and parallel edges per copy.
 func (g *Graph) WriteDOT(w io.Writer, name string) error {
 	if name == "" {
 		name = "overlay"
@@ -117,13 +140,9 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 			return fmt.Errorf("write node: %w", err)
 		}
 	}
-	for key, c := range g.count {
-		u := int64(int32(key >> 32))
-		v := int64(int32(uint32(key)))
-		for i := int32(0); i < c; i++ {
-			if _, err := fmt.Fprintf(bw, "  %d -- %d;\n", u, v); err != nil {
-				return fmt.Errorf("write edge: %w", err)
-			}
+	for u, v := range g.edgeCopies() {
+		if _, err := fmt.Fprintf(bw, "  %d -- %d;\n", u, v); err != nil {
+			return fmt.Errorf("write edge: %w", err)
 		}
 	}
 	if _, err := fmt.Fprintln(bw, "}"); err != nil {

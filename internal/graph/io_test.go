@@ -39,6 +39,54 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteEdgeListOrder pins the output order: node ascending, each
+// node's adjacency in insertion order, smaller endpoint first, one line
+// per parallel copy and per self-loop.
+func TestWriteEdgeListOrder(t *testing.T) {
+	t.Parallel()
+	g := New(5)
+	for _, e := range [][2]int{{3, 4}, {0, 2}, {3, 3}, {1, 0}, {4, 3}, {2, 2}, {2, 2}, {0, 4}} {
+		mustAdd(t, g, e[0], e[1])
+	}
+	var buf bytes.Buffer
+	if err := g.WriteEdgeList(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# nodes 5\n0 2\n0 1\n0 4\n2 2\n2 2\n3 4\n3 3\n3 4\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("edge list:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestWritersReproducible writes the same multigraph twice with each
+// writer: the bytes must match (they used to follow map iteration order).
+func TestWritersReproducible(t *testing.T) {
+	t.Parallel()
+	rng := xrand.New(3)
+	g := New(200)
+	for i := 0; i < 600; i++ {
+		mustAdd(t, g, rng.Intn(200), rng.Intn(200))
+	}
+	write := func(dot bool) string {
+		var buf bytes.Buffer
+		var err error
+		if dot {
+			err = g.WriteDOT(&buf, "g")
+		} else {
+			err = g.WriteEdgeList(&buf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, dot := range []bool{false, true} {
+		if first, second := write(dot), write(dot); first != second {
+			t.Fatalf("dot=%v: two writes of one graph differ", dot)
+		}
+	}
+}
+
 func TestEdgeListRoundTripRandomProperty(t *testing.T) {
 	t.Parallel()
 	for seed := uint64(0); seed < 20; seed++ {

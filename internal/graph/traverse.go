@@ -9,7 +9,7 @@ import "sort"
 // BFS computes hop distances from src to every node. Unreachable nodes get
 // distance -1. The src node itself gets 0. Returns nil if src is invalid.
 func (g *Graph) BFS(src int) []int32 {
-	if g.check(src) != nil {
+	if !g.has(src) {
 		return nil
 	}
 	dist := make([]int32, len(g.adj))
@@ -46,7 +46,7 @@ func (g *Graph) bfsInto(src int, dist []int32, queue []int32) []int32 {
 // (Appendix D) and flooding-search hit counting. visit returning false
 // stops the traversal early.
 func (g *Graph) BFSWithin(src, maxDepth int, visit func(node, depth int) bool) {
-	if g.check(src) != nil || maxDepth < 0 {
+	if !g.has(src) || maxDepth < 0 {
 		return
 	}
 	dist := make(map[int32]int32, 64)
@@ -257,8 +257,11 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
 		orig[i] = u
 	}
 	sub := New(len(nodes))
+	// loops[i] counts node i's self-loop adjacency entries (two per loop);
+	// the loops are appended after every cross edge, as whole pairs.
+	loops := make([]int32, len(nodes))
 	for i, u := range nodes {
-		if g.check(u) != nil {
+		if !g.has(u) {
 			continue
 		}
 		for _, v := range g.adj[u] {
@@ -266,36 +269,22 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
 			if !ok {
 				continue
 			}
-			// Add each undirected edge once: when u is the smaller new ID,
-			// or for self-loops only once per two adjacency entries.
+			// Add each undirected edge once: when u is the smaller new ID.
 			if int32(i) < j {
 				sub.adj[i] = append(sub.adj[i], j)
 				sub.adj[j] = append(sub.adj[j], int32(i))
-				sub.count[edgeKey(int32(i), j)]++
 				sub.edges++
 			} else if int32(i) == j {
-				// Self-loop entries come in pairs; count each pair once.
-				sub.count[edgeKey(int32(i), j)]++
+				loops[i]++
 			}
 		}
 	}
-	// Materialize self-loop adjacency and edge totals from counts.
-	for key, c := range sub.count {
-		u := int32(key >> 32)
-		v := int32(uint32(key))
-		if u == v {
-			// Each self-loop was counted twice (two adjacency entries).
-			c /= 2
-			if c == 0 {
-				delete(sub.count, key)
-				continue
-			}
-			sub.count[key] = c
-			for i := int32(0); i < 2*c; i++ {
-				sub.adj[u] = append(sub.adj[u], u)
-			}
-			sub.edges += int(c)
+	for i, c := range loops {
+		c /= 2
+		for k := int32(0); k < 2*c; k++ {
+			sub.adj[i] = append(sub.adj[i], int32(i))
 		}
+		sub.edges += int(c)
 	}
 	return sub, orig
 }

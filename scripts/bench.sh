@@ -3,7 +3,7 @@
 # the performance trajectory (benchmark name -> ns/op, B/op, allocs/op).
 #
 # Usage:
-#   scripts/bench.sh                 # writes BENCH_PR9.json
+#   scripts/bench.sh                 # writes BENCH_PR12.json
 #   scripts/bench.sh out.json        # custom output path
 #   BENCHTIME=2s scripts/bench.sh    # longer sampling (default 0.5s)
 #
@@ -11,14 +11,16 @@
 #   internal/xrand    power-law degree sampling: the exact math.Pow kernel
 #                     vs the inverse-CDF threshold table (incl. the xl
 #                     natural-cutoff regime)
-#   internal/graph    Freeze cost, HasEdge map-vs-CSR point probes, and
+#   internal/graph    Freeze cost, HasEdge scan-vs-CSR point probes, and
 #                     the PR 9 estimators (pivot-sampled betweenness with
 #                     stderr, landmark path stats)
 #   internal/search   Reference (pre-CSR) vs Scratch (CSR) kernels,
 #                     including the Scratch strategy kernels (0 allocs/op)
 #                     and the prefetch on/off flood pair
 #   internal/gen      CM/GRN build pairs: legacy mutable-Graph+Freeze vs
-#                     direct-CSR (CSRBuilder), fresh and arena-pooled
+#                     direct-CSR (CSRBuilder), fresh and arena-pooled;
+#                     the PA/HAPA/NLPA/DAPA growth kernels (one fixed
+#                     seed each, allocs reported)
 #   internal/metrics  clustering coefficient, map probes vs CSR scan
 #   internal/des      message-level DES flood/k-walk vs the CSR flood
 #                     baseline on the same topology (0 allocs/op steady
@@ -43,7 +45,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_PR9.json}"
+OUT="${1:-BENCH_PR12.json}"
 BENCHTIME="${BENCHTIME:-0.5s}"
 
 raw="$(mktemp)"
@@ -68,7 +70,7 @@ run . 'BenchmarkSearches|BenchmarkWorkersScaling|BenchmarkExtDES'
 # once, reused forever after) dominates their average. Ten iterations
 # per benchmark keeps the steady state visible.
 BUILD_BENCHTIME="${BUILD_BENCHTIME:-10x}"
-BENCHTIME="$BUILD_BENCHTIME" run ./internal/gen 'BenchmarkCMBuild|BenchmarkGRNBuild'
+BENCHTIME="$BUILD_BENCHTIME" run ./internal/gen 'BenchmarkCMBuild|BenchmarkGRNBuild|BenchmarkGrowth'
 
 CPUS="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
 GOMAX="${GOMAXPROCS:-$CPUS}"
