@@ -327,24 +327,26 @@ func BenchmarkSearches(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	f := g.Freeze()
+	var s search.Scratch
 	rng := xrand.New(2)
 	b.Run("flood", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := search.Flood(g, rng.Intn(g.N()), 10); err != nil {
+			if _, err := s.Flood(f, rng.Intn(g.N()), 10); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("nf", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := search.NormalizedFlood(g, rng.Intn(g.N()), 10, 2, rng); err != nil {
+			if _, err := s.NormalizedFlood(f, rng.Intn(g.N()), 10, 2, rng); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("rw-nf-budget", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := search.RandomWalkWithNFBudget(g, rng.Intn(g.N()), 10, 2, rng); err != nil {
+			if _, _, err := s.RandomWalkWithNFBudget(f, rng.Intn(g.N()), 10, 2, rng); err != nil {
 				b.Fatal(err)
 			}
 		}

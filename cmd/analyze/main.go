@@ -25,6 +25,7 @@ import (
 	"os"
 
 	"scalefree"
+	"scalefree/internal/metrics"
 	"scalefree/internal/stats"
 )
 
@@ -60,6 +61,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	rng := scalefree.NewRNG(*seed + 1)
+	f := g.Freeze()
 
 	fmt.Fprintln(out, "== size ==")
 	mean := 0.0
@@ -68,10 +70,13 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "nodes=%d edges=%d degree(min/mean/max)=%d/%.2f/%d\n",
 		g.N(), g.M(), g.MinDegree(), mean, g.MaxDegree())
-	giant := g.GiantComponent()
+	comps := f.ConnectedComponents()
+	giant := 0
+	if len(comps) > 0 {
+		giant = len(comps[0])
+	}
 	fmt.Fprintf(out, "connected=%v giant=%d (%.1f%%) components=%d\n",
-		g.IsConnected(), len(giant), 100*float64(len(giant))/float64(max(1, g.N())),
-		len(g.ConnectedComponents()))
+		giant == g.N(), giant, 100*float64(giant)/float64(max(1, g.N())), len(comps))
 
 	fmt.Fprintln(out, "\n== degree distribution ==")
 	d := scalefree.DegreeDistribution(g)
@@ -104,18 +109,18 @@ func run(args []string, out io.Writer) error {
 		scalefree.DegreeGini(g), 100*scalefree.TopLoadShare(g, 0.01))
 
 	fmt.Fprintln(out, "\n== structure ==")
-	fmt.Fprintf(out, "global clustering (transitivity): %.4f\n", scalefree.GlobalClustering(g))
-	if r, err := scalefree.DegreeAssortativity(g); err == nil {
+	fmt.Fprintf(out, "global clustering (transitivity): %.4f\n", metrics.GlobalClustering(f))
+	if r, err := metrics.DegreeAssortativity(f); err == nil {
 		fmt.Fprintf(out, "degree assortativity: %+.4f\n", r)
 	}
-	fmt.Fprintf(out, "max core (degeneracy): %d; 2-core covers %d nodes\n", g.MaxCore(), len(g.KCore(2)))
-	ps := g.SamplePathStats(min(60, g.N()), rng)
+	fmt.Fprintf(out, "max core (degeneracy): %d; 2-core covers %d nodes\n", f.MaxCore(), len(f.KCore(2)))
+	ps := f.SamplePathStats(min(60, g.N()), rng)
 	fmt.Fprintf(out, "mean distance: %.2f (sampled); diameter >= %d\n",
-		ps.MeanDistance, g.EstimateDiameter(4, rng))
-	if ed, err := scalefree.EffectiveDiameter(g, 0.9, min(64, g.N()), rng); err == nil {
+		ps.MeanDistance, f.EstimateDiameter(4, rng))
+	if ed, err := metrics.EffectiveDiameter(f, 0.9, min(64, g.N()), rng); err == nil {
 		fmt.Fprintf(out, "effective diameter (90%%): %d\n", ed)
 	}
-	if rc := scalefree.RichClub(g); len(rc) > 0 {
+	if rc := metrics.RichClub(f); len(rc) > 0 {
 		deepest := rc[len(rc)-1]
 		fmt.Fprintf(out, "rich club: deepest club at k>%d (%d nodes, phi=%.3f)\n",
 			deepest.K, deepest.Nodes, deepest.Phi)
@@ -131,7 +136,7 @@ func run(args []string, out io.Writer) error {
 			last := pts[len(pts)-1]
 			fmt.Fprintf(out, "%-16s giant %.1f%% -> %.1f%%\n", strat, 100*pts[0].GiantFrac, 100*last.GiantFrac)
 		}
-		if pts, err := scalefree.SitePercolation(g, 10, 2, rng); err == nil {
+		if pts, err := metrics.SitePercolation(f, 10, 2, rng); err == nil {
 			fmt.Fprintf(out, "site percolation: giant reaches 25%% of N at occupation p≈%.2f\n",
 				scalefree.PercolationThreshold(pts, 0.25))
 		}

@@ -130,8 +130,9 @@ func printSummary(w *os.File, g *scalefree.Graph) {
 	if g.N() > 0 {
 		mean = float64(g.TotalDegree()) / float64(g.N())
 	}
+	giant := len(g.Freeze().GiantComponent())
 	fmt.Fprintf(w, "nodes=%d edges=%d degree(min/mean/max)=%d/%.2f/%d connected=%v giant=%d\n",
-		g.N(), g.M(), g.MinDegree(), mean, g.MaxDegree(), g.IsConnected(), len(g.GiantComponent()))
+		g.N(), g.M(), g.MinDegree(), mean, g.MaxDegree(), giant == g.N(), giant)
 	if fit, err := scalefree.FitDegreeExponent(scalefree.DegreeDistribution(g), 1, 0); err == nil {
 		fmt.Fprintf(w, "power-law fit: gamma=%.2f ± %.2f (over %d log bins)\n", fit.Gamma, fit.StdErr, fit.Points)
 	}

@@ -119,7 +119,7 @@ func run(maintain bool) error {
 		g, _ := o.Snapshot()
 		giant := 0
 		if g.N() > 0 {
-			giant = 100 * len(g.GiantComponent()) / g.N()
+			giant = 100 * len(g.Freeze().GiantComponent()) / g.N()
 		}
 		ok, probes, err := probeSearches(o, keyOf, rng)
 		if err != nil {

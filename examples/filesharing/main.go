@@ -57,7 +57,7 @@ func run() error {
 
 	g, _ := o.Snapshot()
 	fmt.Printf("live overlay: %d peers, %d links, max degree %d, connected=%v\n",
-		g.N(), g.M(), g.MaxDegree(), g.IsConnected())
+		g.N(), g.M(), g.MaxDegree(), g.Freeze().IsConnected())
 
 	rng := scalefree.NewRNG(99)
 	for _, item := range []struct {

@@ -13,7 +13,7 @@ func TestPublicAPINLPA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("NLPA graph disconnected")
 	}
 	// Sublinear kernel: hubs bounded well under the linear-PA natural

@@ -65,8 +65,8 @@ func TestChurnOverLossyFaultyNetwork(t *testing.T) {
 		t.Fatal("lossy schedule never dropped a message — the test exercised nothing")
 	}
 	g, _ := o.Snapshot()
-	if len(g.GiantComponent()) != g.N() {
-		t.Fatalf("final snapshot disconnected: giant %d of %d", len(g.GiantComponent()), g.N())
+	if giant := len(g.Freeze().GiantComponent()); giant != g.N() {
+		t.Fatalf("final snapshot disconnected: giant %d of %d", giant, g.N())
 	}
 }
 
@@ -111,7 +111,7 @@ func TestChurnAcrossPartition(t *testing.T) {
 		t.Fatalf("overlay did not re-converge after the partition healed: coverage=%v", rep.Coverage)
 	}
 	g, _ := o.Snapshot()
-	if len(g.GiantComponent()) != g.N() {
-		t.Fatalf("post-heal snapshot disconnected: giant %d of %d", len(g.GiantComponent()), g.N())
+	if giant := len(g.Freeze().GiantComponent()); giant != g.N() {
+		t.Fatalf("post-heal snapshot disconnected: giant %d of %d", giant, g.N())
 	}
 }

@@ -160,7 +160,7 @@ func FloodForItemScratch(f *graph.Frozen, p *Placement, src int, item Item, ttl 
 	if ttl < 0 {
 		return false, 0, nil
 	}
-	// Message accounting matches search.Flood: every covered node forwards
+	// Message accounting matches search.Scratch.Flood: every covered node forwards
 	// to its neighbors except the sender, unless it sits on the TTL shell.
 	err = s.FloodVisit(f, src, ttl, func(node, depth int) bool {
 		if p.HasItem(node, item) {

@@ -66,12 +66,12 @@ func TestRing(t *testing.T) {
 			t.Fatalf("degree(%d)=%d, want 2k=4", u, g.Degree(u))
 		}
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("ring must be connected")
 	}
 	// Ring diameter: floor(n/(2k)) hops... for n=10,k=2 farthest node is
 	// 5 steps around, reachable in ceil(5/2)=3 hops.
-	if d := g.EstimateDiameter(5, xrand.New(1)); d != 3 {
+	if d := g.Freeze().EstimateDiameter(5, xrand.New(1)); d != 3 {
 		t.Fatalf("ring diameter %d, want 3", d)
 	}
 }
@@ -104,8 +104,8 @@ func TestWattsStrogatz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dWS := g.SamplePathStats(50, xrand.New(2)).MeanDistance
-	dLat := lattice.SamplePathStats(50, xrand.New(2)).MeanDistance
+	dWS := g.Freeze().SamplePathStats(50, xrand.New(2)).MeanDistance
+	dLat := lattice.Freeze().SamplePathStats(50, xrand.New(2)).MeanDistance
 	if dWS >= dLat/2 {
 		t.Fatalf("WS mean path %.1f not much shorter than lattice %.1f", dWS, dLat)
 	}

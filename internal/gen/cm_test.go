@@ -114,14 +114,14 @@ func TestCMDisconnectedForM1ConnectedForM2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g1.IsConnected() {
+	if g1.Freeze().IsConnected() {
 		t.Fatal("CM with m=1 should have disconnected components")
 	}
 	g2, _, err := CM(CMConfig{N: 5000, M: 2, KC: 70, Gamma: 2.6}, xrand.New(22))
 	if err != nil {
 		t.Fatal(err)
 	}
-	giant := len(g2.GiantComponent())
+	giant := len(g2.Freeze().GiantComponent())
 	if frac := float64(giant) / float64(g2.N()); frac < 0.98 {
 		t.Fatalf("CM m=2 giant component only %.1f%% of nodes", 100*frac)
 	}

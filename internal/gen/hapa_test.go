@@ -41,7 +41,7 @@ func TestHAPABasicStructure(t *testing.T) {
 	if g.M() != wantM {
 		t.Fatalf("M = %d, want %d", g.M(), wantM)
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("HAPA graph must be connected")
 	}
 	if st.Hops == 0 {
@@ -82,7 +82,7 @@ func TestHAPASuperHubsWithoutCutoff(t *testing.T) {
 		t.Fatalf("max degree %d; expected a super hub of order N=%d", g.MaxDegree(), n)
 	}
 	// And star-like means very small mean path length relative to PA.
-	st := g.SamplePathStats(30, xrand.New(1))
+	st := g.Freeze().SamplePathStats(30, xrand.New(1))
 	if st.MeanDistance > 4 {
 		t.Fatalf("mean distance %.2f too large for star-like topology", st.MeanDistance)
 	}

@@ -31,7 +31,7 @@ func TestNLPABasicStructure(t *testing.T) {
 	if g.M() != wantM {
 		t.Fatalf("M = %d, want %d", g.M(), wantM)
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("NLPA graph must be connected")
 	}
 }
@@ -150,7 +150,7 @@ func TestFitnessBasicStructure(t *testing.T) {
 	if g.M() != wantM {
 		t.Fatalf("M = %d, want %d", g.M(), wantM)
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("fitness graph must be connected")
 	}
 }

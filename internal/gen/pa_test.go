@@ -48,7 +48,7 @@ func TestPABasicStructure(t *testing.T) {
 	if g.MinDegree() < m {
 		t.Fatalf("min degree %d < m=%d", g.MinDegree(), m)
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("PA graph must be connected")
 	}
 	// Simple graph: no self-loops or duplicate links.
@@ -231,7 +231,7 @@ func TestPATreeWhenM1(t *testing.T) {
 	if g.M() != g.N()-1 {
 		t.Fatalf("tree edge count %d, want %d", g.M(), g.N()-1)
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("PA tree must be connected")
 	}
 }

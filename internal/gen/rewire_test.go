@@ -42,7 +42,7 @@ func TestLocalEventsPureGrowthIsPA(t *testing.T) {
 	if ratio < 0.95 || ratio > 1.05 {
 		t.Fatalf("edge counts diverge: local-events %d vs PA %d", g.M(), pa.M())
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("pure-growth local events must be connected")
 	}
 }

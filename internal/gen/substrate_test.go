@@ -79,7 +79,7 @@ func TestGRNGiantComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	giant := len(g.GiantComponent())
+	giant := len(g.Freeze().GiantComponent())
 	if frac := float64(giant) / 10000; frac < 0.95 {
 		t.Fatalf("giant component %.1f%%", 100*frac)
 	}
@@ -139,7 +139,7 @@ func TestMesh(t *testing.T) {
 	if g.Degree(5) != 4 { // (1,1) interior
 		t.Fatalf("interior degree %d", g.Degree(5))
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("mesh must be connected")
 	}
 }

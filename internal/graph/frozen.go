@@ -413,31 +413,3 @@ func (f *Frozen) RandomNeighborExcluding(u, excl int, rng randSource) int {
 	}
 	return -1 // unreachable
 }
-
-// BFS computes hop distances from src to every node, as Graph.BFS
-// (unreachable: -1; invalid src: nil). Queue order matches Graph.BFS
-// because neighbor order is preserved.
-func (f *Frozen) BFS(src int) []int32 {
-	n := f.N()
-	if src < 0 || src >= n {
-		return nil
-	}
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]int32, 0, 64)
-	queue = append(queue, int32(src))
-	dist[src] = 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, v := range f.Neighbors(int(u)) {
-			if dist[v] < 0 {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}

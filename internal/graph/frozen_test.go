@@ -150,7 +150,7 @@ func TestFrozenBFSMatchesGraph(t *testing.T) {
 		g := randomMultigraph(rng)
 		f := g.Freeze()
 		src := rng.Intn(g.N())
-		gd, fd := g.BFS(src), f.BFS(src)
+		gd, fd := refBFS(g, src), f.BFS(src)
 		for v := range gd {
 			if gd[v] != fd[v] {
 				t.Fatalf("BFS(%d) diverges at %d: frozen %d, graph %d", src, v, fd[v], gd[v])
@@ -203,26 +203,25 @@ func TestFrozenEmptyAndIsolated(t *testing.T) {
 	}
 }
 
-// TestFrozenBetweennessAndCoresMatchGraph pins that the Graph delegates
-// and the Frozen implementations agree (they share code, but the freeze
-// path itself must not perturb anything).
+// TestFrozenBetweennessAndCoresMatchGraph pins that the freeze path does
+// not perturb betweenness or core numbers: snapshots of one Graph taken
+// serially, in parallel, and with eager sorted ranges agree bit for bit.
 func TestFrozenBetweennessAndCoresMatchGraph(t *testing.T) {
 	t.Parallel()
 	rng := xrand.New(4)
 	for trial := 0; trial < 20; trial++ {
 		g := randomMultigraph(rng)
 		f := g.Freeze()
-		gb := g.Betweenness(0, nil)
-		fb := f.Betweenness(0, nil)
-		for v := range gb {
-			if gb[v] != fb[v] {
-				t.Fatalf("betweenness diverges at %d", v)
-			}
-		}
-		gc, fc := g.CoreNumbers(), f.CoreNumbers()
-		for v := range gc {
-			if gc[v] != fc[v] {
-				t.Fatalf("core numbers diverge at %d", v)
+		fb, fc := f.Betweenness(0, nil), f.CoreNumbers()
+		for _, h := range []*Frozen{g.FreezePar(3), g.FreezeSorted(2)} {
+			hb, hc := h.Betweenness(0, nil), h.CoreNumbers()
+			for v := range fb {
+				if hb[v] != fb[v] {
+					t.Fatalf("betweenness diverges at %d", v)
+				}
+				if hc[v] != fc[v] {
+					t.Fatalf("core numbers diverge at %d", v)
+				}
 			}
 		}
 	}

@@ -30,7 +30,7 @@ func TestEmptyGraph(t *testing.T) {
 	if g.N() != 0 || g.M() != 0 {
 		t.Fatalf("empty graph: N=%d M=%d", g.N(), g.M())
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("empty graph should be connected by convention")
 	}
 	if g.MinDegree() != 0 || g.MaxDegree() != 0 {
@@ -215,7 +215,7 @@ func TestClone(t *testing.T) {
 func TestBFSPath(t *testing.T) {
 	t.Parallel()
 	g := path(t, 5)
-	dist := g.BFS(0)
+	dist := g.Freeze().BFS(0)
 	for i, want := range []int32{0, 1, 2, 3, 4} {
 		if dist[i] != want {
 			t.Fatalf("dist[%d] = %d, want %d", i, dist[i], want)
@@ -228,7 +228,7 @@ func TestBFSDisconnected(t *testing.T) {
 	g := New(4)
 	mustAdd(t, g, 0, 1)
 	mustAdd(t, g, 2, 3)
-	dist := g.BFS(0)
+	dist := g.Freeze().BFS(0)
 	if dist[2] != -1 || dist[3] != -1 {
 		t.Fatalf("unreachable distances: %v", dist)
 	}
@@ -240,37 +240,8 @@ func TestBFSDisconnected(t *testing.T) {
 func TestBFSInvalidSource(t *testing.T) {
 	t.Parallel()
 	g := New(2)
-	if got := g.BFS(5); got != nil {
+	if got := g.Freeze().BFS(5); got != nil {
 		t.Fatalf("BFS(5) = %v, want nil", got)
-	}
-}
-
-func TestBFSWithin(t *testing.T) {
-	t.Parallel()
-	g := path(t, 6)
-	var visited []int
-	g.BFSWithin(0, 2, func(node, depth int) bool {
-		visited = append(visited, node)
-		if depth > 2 {
-			t.Fatalf("visited node %d at depth %d > 2", node, depth)
-		}
-		return true
-	})
-	if len(visited) != 3 { // nodes 0,1,2
-		t.Fatalf("visited %v, want 3 nodes", visited)
-	}
-}
-
-func TestBFSWithinEarlyStop(t *testing.T) {
-	t.Parallel()
-	g := path(t, 10)
-	count := 0
-	g.BFSWithin(0, 9, func(node, depth int) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("early stop visited %d, want 3", count)
 	}
 }
 
@@ -281,7 +252,7 @@ func TestConnectedComponents(t *testing.T) {
 	mustAdd(t, g, 1, 2)
 	mustAdd(t, g, 3, 4)
 	// 5, 6 isolated
-	comps := g.ConnectedComponents()
+	comps := g.Freeze().ConnectedComponents()
 	if len(comps) != 4 {
 		t.Fatalf("got %d components, want 4", len(comps))
 	}
@@ -302,11 +273,11 @@ func TestGiantComponent(t *testing.T) {
 	g := New(5)
 	mustAdd(t, g, 0, 1)
 	mustAdd(t, g, 1, 2)
-	gc := g.GiantComponent()
+	gc := g.Freeze().GiantComponent()
 	if len(gc) != 3 {
 		t.Fatalf("giant component size %d, want 3", len(gc))
 	}
-	if New(0).GiantComponent() != nil {
+	if New(0).Freeze().GiantComponent() != nil {
 		t.Fatal("empty graph giant component should be nil")
 	}
 }
@@ -314,11 +285,11 @@ func TestGiantComponent(t *testing.T) {
 func TestIsConnected(t *testing.T) {
 	t.Parallel()
 	g := path(t, 4)
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("path graph should be connected")
 	}
 	g.AddNode()
-	if g.IsConnected() {
+	if g.Freeze().IsConnected() {
 		t.Fatal("graph with isolated node should not be connected")
 	}
 }
@@ -326,7 +297,7 @@ func TestIsConnected(t *testing.T) {
 func TestSamplePathStatsExact(t *testing.T) {
 	t.Parallel()
 	g := path(t, 4) // distances: 1+2+3 + 1+1+2 + ... mean over ordered pairs
-	st := g.SamplePathStats(4, xrand.New(1))
+	st := g.Freeze().SamplePathStats(4, xrand.New(1))
 	// All-pairs ordered distances: sum = 2*(1*3 + 2*2 + 3*1) = 20, pairs = 12.
 	if st.Pairs != 12 {
 		t.Fatalf("pairs = %d, want 12", st.Pairs)
@@ -346,7 +317,7 @@ func TestSamplePathStatsUnreachable(t *testing.T) {
 	t.Parallel()
 	g := New(3)
 	mustAdd(t, g, 0, 1)
-	st := g.SamplePathStats(3, xrand.New(1))
+	st := g.Freeze().SamplePathStats(3, xrand.New(1))
 	if st.UnreachablePairs != 4 { // (0,2),(1,2),(2,0),(2,1)
 		t.Fatalf("unreachable = %d, want 4", st.UnreachablePairs)
 	}
@@ -355,21 +326,21 @@ func TestSamplePathStatsUnreachable(t *testing.T) {
 func TestEstimateDiameter(t *testing.T) {
 	t.Parallel()
 	g := path(t, 10)
-	if d := g.EstimateDiameter(3, xrand.New(1)); d != 9 {
+	if d := g.Freeze().EstimateDiameter(3, xrand.New(1)); d != 9 {
 		t.Fatalf("diameter = %d, want 9", d)
 	}
-	if d := New(0).EstimateDiameter(3, xrand.New(1)); d != 0 {
+	if d := New(0).Freeze().EstimateDiameter(3, xrand.New(1)); d != 0 {
 		t.Fatalf("empty diameter = %d", d)
 	}
 }
 
 func TestEccentricity(t *testing.T) {
 	t.Parallel()
-	g := path(t, 5)
-	if e := g.Eccentricity(0); e != 4 {
+	f := path(t, 5).Freeze()
+	if e := f.Eccentricity(0); e != 4 {
 		t.Fatalf("ecc(0) = %d, want 4", e)
 	}
-	if e := g.Eccentricity(2); e != 2 {
+	if e := f.Eccentricity(2); e != 2 {
 		t.Fatalf("ecc(2) = %d, want 2", e)
 	}
 }
@@ -438,7 +409,7 @@ func TestInducedSubgraph(t *testing.T) {
 	mustAdd(t, g, 1, 2)
 	mustAdd(t, g, 2, 3)
 	mustAdd(t, g, 3, 4)
-	sub, orig := g.InducedSubgraph([]int{1, 2, 3})
+	sub, orig := g.Freeze().InducedFrozen([]int{1, 2, 3})
 	if sub.N() != 3 {
 		t.Fatalf("sub N = %d", sub.N())
 	}
@@ -458,7 +429,7 @@ func TestInducedSubgraphSelfLoop(t *testing.T) {
 	g := New(3)
 	mustAdd(t, g, 1, 1)
 	mustAdd(t, g, 1, 2)
-	sub, _ := g.InducedSubgraph([]int{1, 2})
+	sub, _ := g.Freeze().InducedFrozen([]int{1, 2})
 	if sub.EdgeMultiplicity(0, 0) != 1 {
 		t.Fatalf("self-loop multiplicity = %d, want 1", sub.EdgeMultiplicity(0, 0))
 	}
@@ -544,7 +515,7 @@ func TestBFSEdgeConsistencyProperty(t *testing.T) {
 				}
 			}
 		}
-		dist := g.BFS(0)
+		dist := g.Freeze().BFS(0)
 		for u := 0; u < n; u++ {
 			for _, v := range g.Neighbors(u) {
 				du, dv := dist[u], dist[v]
@@ -578,8 +549,9 @@ func BenchmarkBFS(b *testing.B) {
 	for i := 1; i < n; i++ {
 		_ = g.AddEdge(i, rng.Intn(i))
 	}
+	f := g.Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.BFS(i % n)
+		_ = f.BFS(i % n)
 	}
 }

@@ -15,13 +15,13 @@ func TestCoreNumbersClique(t *testing.T) {
 			mustAdd(t, g, u, v)
 		}
 	}
-	for u, c := range g.CoreNumbers() {
+	for u, c := range g.Freeze().CoreNumbers() {
 		if c != 3 {
 			t.Fatalf("core(%d) = %d, want 3", u, c)
 		}
 	}
-	if g.MaxCore() != 3 {
-		t.Fatalf("MaxCore %d", g.MaxCore())
+	if g.Freeze().MaxCore() != 3 {
+		t.Fatalf("MaxCore %d", g.Freeze().MaxCore())
 	}
 }
 
@@ -29,12 +29,12 @@ func TestCoreNumbersPath(t *testing.T) {
 	t.Parallel()
 	// A path is 1-degenerate: every node in the 1-core, none in the 2-core.
 	g := path(t, 6)
-	for u, c := range g.CoreNumbers() {
+	for u, c := range g.Freeze().CoreNumbers() {
 		if c != 1 {
 			t.Fatalf("core(%d) = %d, want 1", u, c)
 		}
 	}
-	if got := g.KCore(2); len(got) != 0 {
+	if got := g.Freeze().KCore(2); len(got) != 0 {
 		t.Fatalf("2-core of a path: %v", got)
 	}
 }
@@ -48,14 +48,14 @@ func TestCoreNumbersCliqueWithTail(t *testing.T) {
 	mustAdd(t, g, 0, 2)
 	mustAdd(t, g, 2, 3)
 	mustAdd(t, g, 3, 4)
-	core := g.CoreNumbers()
+	core := g.Freeze().CoreNumbers()
 	want := []int{2, 2, 2, 1, 1}
 	for u := range want {
 		if core[u] != want[u] {
 			t.Fatalf("core %v, want %v", core, want)
 		}
 	}
-	twoCore := g.KCore(2)
+	twoCore := g.Freeze().KCore(2)
 	if len(twoCore) != 3 || twoCore[0] != 0 || twoCore[2] != 2 {
 		t.Fatalf("2-core %v", twoCore)
 	}
@@ -63,11 +63,11 @@ func TestCoreNumbersCliqueWithTail(t *testing.T) {
 
 func TestCoreNumbersEmptyAndIsolated(t *testing.T) {
 	t.Parallel()
-	if got := New(0).CoreNumbers(); len(got) != 0 {
+	if got := New(0).Freeze().CoreNumbers(); len(got) != 0 {
 		t.Fatalf("empty cores %v", got)
 	}
 	g := New(3)
-	for _, c := range g.CoreNumbers() {
+	for _, c := range g.Freeze().CoreNumbers() {
 		if c != 0 {
 			t.Fatalf("isolated core %d", c)
 		}
@@ -88,11 +88,11 @@ func TestKCoreProperty(t *testing.T) {
 				mustAdd(t, g, u, v)
 			}
 		}
-		core := g.CoreNumbers()
-		maxCore := g.MaxCore()
+		core := g.Freeze().CoreNumbers()
+		maxCore := g.Freeze().MaxCore()
 		for k := 1; k <= maxCore; k++ {
 			members := map[int]bool{}
-			for _, u := range g.KCore(k) {
+			for _, u := range g.Freeze().KCore(k) {
 				members[u] = true
 			}
 			for u := range members {
@@ -133,8 +133,8 @@ func TestPACoreStructure(t *testing.T) {
 			}
 		}
 	}
-	if g.MaxCore() < 2 {
-		t.Fatalf("max core %d, want >= 2", g.MaxCore())
+	if g.Freeze().MaxCore() < 2 {
+		t.Fatalf("max core %d, want >= 2", g.Freeze().MaxCore())
 	}
 }
 
@@ -152,6 +152,6 @@ func BenchmarkCoreNumbers(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.CoreNumbers()
+		_ = g.Freeze().CoreNumbers()
 	}
 }

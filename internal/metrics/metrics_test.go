@@ -154,6 +154,16 @@ func TestRobustnessValidation(t *testing.T) {
 	if _, err := Robustness(g, RemoveRandom, 0, 0.5, xrand.New(1)); err == nil {
 		t.Error("step 0 should fail")
 	}
+	// NaN fails every comparison, so it must be rejected explicitly.
+	if _, err := Robustness(g, RemoveRandom, math.NaN(), 0.5, xrand.New(1)); err == nil {
+		t.Error("NaN step should fail")
+	}
+	if _, err := Robustness(g, RemoveRandom, 0.1, math.NaN(), xrand.New(1)); err == nil {
+		t.Error("NaN max fraction should fail")
+	}
+	if _, err := Robustness(g, RemoveRandom, math.NaN(), math.NaN(), xrand.New(1)); err == nil {
+		t.Error("NaN fractions should fail")
+	}
 	if _, err := Robustness(g, RemovalStrategy(9), 0.1, 0.5, xrand.New(1)); err == nil {
 		t.Error("unknown strategy should fail")
 	}

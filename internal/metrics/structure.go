@@ -82,7 +82,7 @@ func EffectiveDiameter(f *graph.Frozen, q float64, sources int, rng *xrand.RNG) 
 	if f.N() == 0 {
 		return 0, fmt.Errorf("metrics: empty graph")
 	}
-	if q <= 0 || q > 1 {
+	if !(q > 0 && q <= 1) {
 		return 0, fmt.Errorf("metrics: quantile %v must be in (0,1]", q)
 	}
 	if rng == nil {
@@ -149,37 +149,33 @@ type PercolationPoint struct {
 // random removal (they stay connected until almost nothing is left) —
 // applying a hard cutoff restores a finite threshold, which is the dual
 // of the attack-tolerance improvement.
-func SitePercolation(g *graph.Graph, steps, trials int, rng *xrand.RNG) ([]PercolationPoint, error) {
+func SitePercolation(f *graph.Frozen, steps, trials int, rng *xrand.RNG) ([]PercolationPoint, error) {
 	if steps < 2 {
 		return nil, fmt.Errorf("metrics: steps %d must be >= 2", steps)
 	}
 	if trials < 1 {
 		return nil, fmt.Errorf("metrics: trials %d must be >= 1", trials)
 	}
-	if g.N() == 0 {
+	if f.N() == 0 {
 		return nil, fmt.Errorf("metrics: empty graph")
 	}
 	if rng == nil {
 		rng = xrand.New(0)
 	}
-	n := g.N()
+	n := f.N()
 	out := make([]PercolationPoint, steps)
-	keep := make([]int, 0, n)
+	c := newComponents(f)
 	for i := 0; i < steps; i++ {
 		p := float64(i+1) / float64(steps)
 		var sum float64
 		for tr := 0; tr < trials; tr++ {
-			keep = keep[:0]
+			c.reset()
 			for v := 0; v < n; v++ {
 				if rng.Float64() < p {
-					keep = append(keep, v)
+					c.add(v)
 				}
 			}
-			if len(keep) == 0 {
-				continue
-			}
-			sub, _ := g.InducedSubgraph(keep)
-			sum += float64(len(sub.GiantComponent())) / float64(n)
+			sum += float64(c.giant) / float64(n)
 		}
 		out[i] = PercolationPoint{Occupied: p, GiantFrac: sum / float64(trials)}
 	}

@@ -54,8 +54,8 @@ func TestOverlayHealsAfterMassFailure(t *testing.T) {
 	// overlay is at least fully connected (tiny fringes can sit at M-1
 	// only if a join partner refused; connectivity is the contract).
 	g, _ := o.Snapshot()
-	if len(g.GiantComponent()) != g.N() {
-		t.Fatalf("snapshot disconnected: giant %d of %d", len(g.GiantComponent()), g.N())
+	if giant := len(g.Freeze().GiantComponent()); giant != g.N() {
+		t.Fatalf("snapshot disconnected: giant %d of %d", giant, g.N())
 	}
 }
 

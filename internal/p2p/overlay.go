@@ -324,7 +324,7 @@ func (o *Overlay) bridge() bool {
 	if g.N() <= 1 {
 		return false
 	}
-	giant := g.GiantComponent()
+	giant := g.Freeze().GiantComponent()
 	if len(giant) == g.N() {
 		return false
 	}
@@ -359,7 +359,7 @@ func (o *Overlay) giantFraction() float64 {
 	if g.N() <= 1 {
 		return 1
 	}
-	return float64(len(g.GiantComponent())) / float64(g.N())
+	return float64(len(g.Freeze().GiantComponent())) / float64(g.N())
 }
 
 // Snapshot freezes the overlay topology into a graph.Graph for analysis.

@@ -40,7 +40,7 @@ func TestOverlayGrowDAPA(t *testing.T) {
 	if g.N() != 60 {
 		t.Fatalf("snapshot N %d", g.N())
 	}
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("live DAPA overlay should be connected (single bootstrap chain)")
 	}
 	if g.MaxDegree() > 10 {
@@ -59,7 +59,7 @@ func TestOverlayGrowHAPA(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := o.Snapshot()
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("HAPA overlay should be connected")
 	}
 	if g.MaxDegree() > 8 {
@@ -74,7 +74,7 @@ func TestOverlayGrowRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := o.Snapshot()
-	if !g.IsConnected() {
+	if !g.Freeze().IsConnected() {
 		t.Fatal("random-join overlay should be connected")
 	}
 }
@@ -181,7 +181,7 @@ func TestOverlayChurn(t *testing.T) {
 	if g.MaxDegree() > 12 {
 		t.Fatalf("cutoff violated under churn: %d", g.MaxDegree())
 	}
-	giant := len(g.GiantComponent())
+	giant := len(g.Freeze().GiantComponent())
 	if giant < 30 {
 		t.Fatalf("giant component %d/40 after churn", giant)
 	}

@@ -531,7 +531,7 @@ func (p *Peer) handleQuery(env Envelope) {
 		if len(cands) > 0 {
 			targets = []string{cands[p.rng.Intn(len(cands))]}
 		} else if msg.TTL > 1 && env.From != "" {
-			// Dead end: backtrack (mirrors search.RandomWalk).
+			// Dead end: backtrack (mirrors search.Scratch.RandomWalk).
 			if _, ok := p.neighbors[env.From]; ok {
 				targets = []string{env.From}
 			}

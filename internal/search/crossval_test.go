@@ -44,11 +44,11 @@ func TestFloodMatchesBFSBallProperty(t *testing.T) {
 		g := randomConnectedGraph(rng)
 		src := rng.Intn(g.N())
 		maxTTL := rng.IntRange(0, 10)
-		res, err := Flood(g, src, maxTTL)
+		res, err := floodOnce(g, src, maxTTL)
 		if err != nil {
 			return false
 		}
-		dist := g.BFS(src)
+		dist := g.Freeze().BFS(src)
 		for tau := 0; tau <= maxTTL; tau++ {
 			ball := 0
 			for _, d := range dist {
@@ -77,11 +77,11 @@ func TestNFDominatedByFLProperty(t *testing.T) {
 		src := rng.Intn(g.N())
 		const maxTTL = 8
 		kMin := rng.IntRange(1, 4)
-		fl, err := Flood(g, src, maxTTL)
+		fl, err := floodOnce(g, src, maxTTL)
 		if err != nil {
 			return false
 		}
-		nf, err := NormalizedFlood(g, src, maxTTL, kMin, rng)
+		nf, err := nfOnce(g, src, maxTTL, kMin, rng)
 		if err != nil {
 			return false
 		}
@@ -108,7 +108,7 @@ func TestRWIncrementalProperty(t *testing.T) {
 		rng := xrand.New(seed)
 		g := randomConnectedGraph(rng)
 		src := rng.Intn(g.N())
-		res, err := RandomWalk(g, src, 50, rng)
+		res, err := rwOnce(g, src, 50, rng)
 		if err != nil {
 			return false
 		}
@@ -136,7 +136,7 @@ func TestFloodDeliveryMatchesBFSProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := int(g.BFS(src)[dst])
+		want := int(g.Freeze().BFS(src)[dst])
 		return d.Found && d.Time == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -152,7 +152,7 @@ func TestExpandingRingExactnessProperty(t *testing.T) {
 		rng := xrand.New(seed)
 		g := randomConnectedGraph(rng)
 		src, dst := rng.Intn(g.N()), rng.Intn(g.N())
-		trueDist := int(g.BFS(src)[dst])
+		trueDist := int(g.Freeze().BFS(src)[dst])
 		const maxTTL = 8
 		res, err := ExpandingRing(g.Freeze(), src, func(v int) bool { return v == dst }, nil, maxTTL)
 		if err != nil {
@@ -186,12 +186,12 @@ func TestFloodReachesGiantComponentExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps := g.ConnectedComponents()
+	comps := g.Freeze().ConnectedComponents()
 	if len(comps) < 2 {
 		t.Skip("CM draw happened to be connected")
 	}
 	src := comps[0][0]
-	res, err := Flood(g, src, g.N())
+	res, err := floodOnce(g, src, g.N())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestFloodLoadMatchesMessageCount(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 1500, 2, 61)
 	for _, src := range []int{0, 7, 900} {
-		res, err := Flood(g, src, 6)
+		res, err := floodOnce(g, src, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestNormalizedFloodLoadTotalMatches(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 1500, 2, 67)
 	src := 3
-	res, err := NormalizedFlood(g, src, 6, 2, xrand.New(9))
+	res, err := nfOnce(g, src, 6, 2, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}

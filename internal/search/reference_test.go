@@ -19,6 +19,35 @@ import (
 	"scalefree/internal/xrand"
 )
 
+// referenceBFSWithin is the historical Graph.BFSWithin: it visits all
+// nodes within maxDepth hops of src (src at depth 0), calling visit(node,
+// depth) once per node in breadth-first order; visit returning false
+// stops the traversal.
+func referenceBFSWithin(g *graph.Graph, src, maxDepth int, visit func(node, depth int) bool) {
+	if src < 0 || src >= g.N() || maxDepth < 0 {
+		return
+	}
+	dist := make(map[int32]int32, 64)
+	queue := []int32{int32(src)}
+	dist[int32(src)] = 0
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		du := dist[u]
+		if !visit(int(u), int(du)) {
+			return
+		}
+		if int(du) == maxDepth {
+			continue
+		}
+		for _, v := range g.Neighbors(int(u)) {
+			if _, seen := dist[v]; !seen {
+				dist[v] = du + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+}
+
 // referenceFlood is the historical Flood kernel on the mutable Graph.
 func referenceFlood(g *graph.Graph, src, maxTTL int) Result {
 	n := g.N()

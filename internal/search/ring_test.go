@@ -98,7 +98,7 @@ func TestExpandingRingSavesMessagesOnPopularContent(t *testing.T) {
 			t.Fatal(err)
 		}
 		ringMsgs += res.Messages
-		fl, err := Flood(g, src, maxTTL)
+		fl, err := floodOnce(g, src, maxTTL)
 		if err != nil {
 			t.Fatal(err)
 		}

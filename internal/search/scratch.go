@@ -28,11 +28,11 @@ package search
 // scratch's internal buffers: they are valid until the next call on the
 // same Scratch, so consume (or copy) them before searching again.
 //
-// The zero value is ready to use. The package-level Flood, NormalizedFlood,
-// RandomWalk, RandomWalkWithNFBudget, KRandomWalks, HighDegreeWalk,
-// ProbabilisticFlood, and HybridSearch functions are thin wrappers that run
-// on a fresh Scratch per call; they remain the convenient API when
-// allocation cost does not matter.
+// The zero value is ready to use, so a one-off search is
+// `var s Scratch; s.Flood(f, src, ttl)`. The package-level KRandomWalks,
+// HighDegreeWalk, ProbabilisticFlood, and HybridSearch functions are thin
+// wrappers that run on a fresh Scratch per call; they remain the
+// convenient API when allocation cost does not matter.
 
 import (
 	"math"
@@ -146,8 +146,14 @@ func (s *Scratch) intBuf(n int) []int {
 	return b
 }
 
-// Flood runs flooding search from src up to maxTTL hops, exactly as the
-// package-level Flood, reusing s's buffers. The Result aliases s.
+// Flood runs flooding search from src up to maxTTL hops (§V-A1). It is a
+// breadth-first sweep with duplicate suppression: a node forwards the query
+// on first receipt only, to every neighbor except the one that delivered
+// it. The source forwards to all its neighbors.
+//
+// Hits[t] is the size of the t-hop ball around src; on a connected graph it
+// approaches N as t grows (Figs. 6–8), while on CM with m=1 it saturates at
+// the source's component size (§V-B1). The Result aliases s.
 func (s *Scratch) Flood(f *graph.Frozen, src, maxTTL int) (Result, error) {
 	s.reset()
 	return s.flood(f, src, maxTTL)
@@ -267,8 +273,14 @@ func (s *Scratch) nfTargets(f *graph.Frozen, u, sender int32, kMin int, rng *xra
 	return cand[:kMin]
 }
 
-// NormalizedFlood runs NF search from src, exactly as the package-level
-// NormalizedFlood, reusing s's buffers. The Result aliases s.
+// NormalizedFlood runs NF search from src (§V-A2). kMin is the network's
+// minimum degree parameter: a node whose degree (excluding the reverse
+// link) exceeds kMin forwards to kMin uniformly chosen neighbors other than
+// the sender; a node at or below kMin forwards to all neighbors except the
+// sender. The source forwards to min(kMin, deg) random neighbors.
+//
+// NF is randomized: the paper averages hits over many sources and
+// realizations (internal/sim does the averaging). The Result aliases s.
 func (s *Scratch) NormalizedFlood(f *graph.Frozen, src, maxTTL, kMin int, rng *xrand.RNG) (Result, error) {
 	s.reset()
 	return s.normalizedFlood(f, src, maxTTL, kMin, rng)
@@ -340,9 +352,13 @@ func (s *Scratch) normalizedFlood(f *graph.Frozen, src, maxTTL, kMin int, rng *x
 	return res, nil
 }
 
-// RandomWalk runs a non-backtracking walk of exactly `steps` hops, exactly
-// as the package-level RandomWalk, reusing s's buffers. The Result aliases
-// s.
+// RandomWalk runs a random walk of exactly `steps` hops from src (§V-A3).
+// At each hop the query moves to a uniformly random neighbor excluding the
+// node it just came from; if the walker is at a dead end (its only
+// neighbor is the previous node) it backtracks rather than dying, the
+// standard convention for non-backtracking walks on trees. Hits[t] counts
+// distinct nodes seen within the first t steps; Messages[t] == t. The
+// Result aliases s.
 func (s *Scratch) RandomWalk(f *graph.Frozen, src, steps int, rng *xrand.RNG) (Result, error) {
 	s.reset()
 	return s.randomWalk(f, src, steps, rng)
@@ -384,9 +400,13 @@ func (s *Scratch) randomWalk(f *graph.Frozen, src, steps int, rng *xrand.RNG) (R
 	return res, nil
 }
 
-// RandomWalkWithNFBudget runs the paper's §V-B RW normalization, exactly as
-// the package-level RandomWalkWithNFBudget, reusing s's buffers. Both
-// returned Results alias s.
+// RandomWalkWithNFBudget reproduces the paper's RW normalization (§V-B):
+// for each τ in 1..maxTTL, the RW "data point corresponding to that τ
+// value is obtained by simulating a RW search with τ equal to the number
+// of messages that were caused by an NF search using" the same τ. It runs
+// one NF search to obtain the per-τ message budget, then a single long
+// walk, reading hits at each budget point. Returns the RW result (indexed
+// by NF-τ) and the NF result that defined the budget; both alias s.
 func (s *Scratch) RandomWalkWithNFBudget(f *graph.Frozen, src, maxTTL, kMin int, rng *xrand.RNG) (rw, nf Result, err error) {
 	s.reset()
 	nf, err = s.normalizedFlood(f, src, maxTTL, kMin, rng)
@@ -412,9 +432,8 @@ func (s *Scratch) RandomWalkWithNFBudget(f *graph.Frozen, src, maxTTL, kMin int,
 
 // FloodVisit sweeps the maxTTL-hop ball around src in breadth-first order
 // with duplicate suppression, calling visit(node, depth) once per
-// discovered node; visit returning false stops the sweep early. It is the
-// allocation-free counterpart of graph.BFSWithin, used by the content
-// layer's flooding query resolver.
+// discovered node; visit returning false stops the sweep early. The
+// content layer's flooding query resolver runs on it.
 func (s *Scratch) FloodVisit(f *graph.Frozen, src, maxTTL int, visit func(node, depth int) bool) error {
 	if err := validate(f, src, maxTTL); err != nil {
 		return err

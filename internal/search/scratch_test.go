@@ -45,16 +45,16 @@ func sameResult(t *testing.T, name string, a, b Result) {
 }
 
 // TestScratchMatchesPackageFunctions pins the contract that a reused
-// Scratch produces bit-identical results to the package-level functions
-// (same traversal order, same RNG consumption), across many consecutive
-// searches on one scratch.
+// Scratch produces bit-identical results to a fresh Scratch on a fresh
+// snapshot, the one-off path the facade takes (same traversal order,
+// same RNG consumption), across many consecutive searches on one scratch.
 func TestScratchMatchesPackageFunctions(t *testing.T) {
 	t.Parallel()
 	g := scratchTestGraph(t)
 	f := g.Freeze()
 	s := NewScratch(0) // deliberately unsized: buffers must grow on demand
 	for _, src := range []int{0, 7, 99, 1234} {
-		a, err := Flood(g, src, 6)
+		a, err := floodOnce(g, src, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestScratchMatchesPackageFunctions(t *testing.T) {
 		}
 		sameResult(t, "flood", a, b)
 
-		an, err := NormalizedFlood(g, src, 6, 2, xrand.New(5))
+		an, err := nfOnce(g, src, 6, 2, xrand.New(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestScratchMatchesPackageFunctions(t *testing.T) {
 		}
 		sameResult(t, "nf", an, bn)
 
-		aw, err := RandomWalk(g, src, 500, xrand.New(7))
+		aw, err := rwOnce(g, src, 500, xrand.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestScratchMatchesPackageFunctions(t *testing.T) {
 		}
 		sameResult(t, "rw", aw, bw)
 
-		arw, anf, err := RandomWalkWithNFBudget(g, src, 6, 2, xrand.New(9))
+		arw, anf, err := rwBudgetOnce(g, src, 6, 2, xrand.New(9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,8 +133,9 @@ func TestScratchLoadMatchesPackageFunctions(t *testing.T) {
 	}
 }
 
-// TestFloodVisitMatchesBFSWithin pins FloodVisit to graph.BFSWithin: same
-// nodes, same depths, same breadth-first order, same early-stop contract.
+// TestFloodVisitMatchesBFSWithin pins FloodVisit to the historical
+// Graph.BFSWithin (referenceBFSWithin): same nodes, same depths, same
+// breadth-first order, same early-stop contract.
 func TestFloodVisitMatchesBFSWithin(t *testing.T) {
 	t.Parallel()
 	g := scratchTestGraph(t)
@@ -143,7 +144,7 @@ func TestFloodVisitMatchesBFSWithin(t *testing.T) {
 	type visitRec struct{ node, depth int }
 	for _, ttl := range []int{0, 1, 3} {
 		var want, got []visitRec
-		g.BFSWithin(50, ttl, func(node, depth int) bool {
+		referenceBFSWithin(g, 50, ttl, func(node, depth int) bool {
 			want = append(want, visitRec{node, depth})
 			return true
 		})
@@ -373,7 +374,7 @@ func BenchmarkFreshFlood(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Flood(g, i%g.N(), 8); err != nil {
+		if _, err := floodOnce(g, i%g.N(), 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -398,7 +399,7 @@ func BenchmarkFreshNormalizedFlood(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NormalizedFlood(g, i%g.N(), 8, 2, rng); err != nil {
+		if _, err := nfOnce(g, i%g.N(), 8, 2, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

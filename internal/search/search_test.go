@@ -8,6 +8,24 @@ import (
 	"scalefree/internal/xrand"
 )
 
+// floodOnce, nfOnce, rwOnce and rwBudgetOnce run one search on a fresh
+// Scratch over a fresh snapshot of g: the one-off path the facade takes.
+func floodOnce(g *graph.Graph, src, maxTTL int) (Result, error) {
+	return new(Scratch).Flood(g.Freeze(), src, maxTTL)
+}
+
+func nfOnce(g *graph.Graph, src, maxTTL, kMin int, rng *xrand.RNG) (Result, error) {
+	return new(Scratch).NormalizedFlood(g.Freeze(), src, maxTTL, kMin, rng)
+}
+
+func rwOnce(g *graph.Graph, src, steps int, rng *xrand.RNG) (Result, error) {
+	return new(Scratch).RandomWalk(g.Freeze(), src, steps, rng)
+}
+
+func rwBudgetOnce(g *graph.Graph, src, maxTTL, kMin int, rng *xrand.RNG) (rw, nf Result, err error) {
+	return new(Scratch).RandomWalkWithNFBudget(g.Freeze(), src, maxTTL, kMin, rng)
+}
+
 // star builds a star graph: node 0 is the hub with n-1 leaves.
 func star(t *testing.T, n int) *graph.Graph {
 	t.Helper()
@@ -35,13 +53,13 @@ func pathN(t *testing.T, n int) *graph.Graph {
 func TestFloodValidation(t *testing.T) {
 	t.Parallel()
 	g := star(t, 4)
-	if _, err := Flood(g, -1, 2); err == nil {
+	if _, err := floodOnce(g, -1, 2); err == nil {
 		t.Error("negative source should fail")
 	}
-	if _, err := Flood(g, 9, 2); err == nil {
+	if _, err := floodOnce(g, 9, 2); err == nil {
 		t.Error("out-of-range source should fail")
 	}
-	if _, err := Flood(g, 0, -1); err == nil {
+	if _, err := floodOnce(g, 0, -1); err == nil {
 		t.Error("negative TTL should fail")
 	}
 }
@@ -50,7 +68,7 @@ func TestFloodStar(t *testing.T) {
 	t.Parallel()
 	g := star(t, 6)
 	// From the hub: one hop reaches everything.
-	res, err := Flood(g, 0, 3)
+	res, err := floodOnce(g, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +88,7 @@ func TestFloodStar(t *testing.T) {
 	}
 
 	// From a leaf: τ=1 reaches the hub, τ=2 reaches everything.
-	res, err = Flood(g, 1, 3)
+	res, err = floodOnce(g, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +104,7 @@ func TestFloodStar(t *testing.T) {
 func TestFloodPath(t *testing.T) {
 	t.Parallel()
 	g := pathN(t, 10)
-	res, err := Flood(g, 0, 5)
+	res, err := floodOnce(g, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +118,7 @@ func TestFloodPath(t *testing.T) {
 func TestFloodTTLZero(t *testing.T) {
 	t.Parallel()
 	g := star(t, 4)
-	res, err := Flood(g, 0, 0)
+	res, err := floodOnce(g, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +133,7 @@ func TestFloodDisconnected(t *testing.T) {
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Flood(g, 0, 10)
+	res, err := floodOnce(g, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +155,7 @@ func TestFloodCountsDuplicateMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := Flood(g, 0, 2)
+	res, err := floodOnce(g, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +173,7 @@ func TestFloodMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Flood(g, 42, 15)
+	res, err := floodOnce(g, 42, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +193,10 @@ func TestFloodMonotone(t *testing.T) {
 func TestNormalizedFloodValidation(t *testing.T) {
 	t.Parallel()
 	g := star(t, 4)
-	if _, err := NormalizedFlood(g, 0, 2, 0, xrand.New(1)); err == nil {
+	if _, err := nfOnce(g, 0, 2, 0, xrand.New(1)); err == nil {
 		t.Error("kMin=0 should fail")
 	}
-	if _, err := NormalizedFlood(g, 7, 2, 1, xrand.New(1)); err == nil {
+	if _, err := nfOnce(g, 7, 2, 1, xrand.New(1)); err == nil {
 		t.Error("bad source should fail")
 	}
 }
@@ -188,7 +206,7 @@ func TestNormalizedFloodFanOut(t *testing.T) {
 	// Star from hub with kMin=2: hub forwards to exactly 2 of its 5
 	// leaves.
 	g := star(t, 6)
-	res, err := NormalizedFlood(g, 0, 3, 2, xrand.New(1))
+	res, err := nfOnce(g, 0, 3, 2, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +225,11 @@ func TestNormalizedFloodEqualsFloodWhenKMinLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := Flood(g, 3, 8)
+	fl, err := floodOnce(g, 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf, err := NormalizedFlood(g, 3, 8, 10, xrand.New(3))
+	nf, err := nfOnce(g, 3, 8, 10, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +248,11 @@ func TestNormalizedFloodCoversFewerThanFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := Flood(g, 10, 6)
+	fl, err := floodOnce(g, 10, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf, err := NormalizedFlood(g, 10, 6, 3, xrand.New(5))
+	nf, err := nfOnce(g, 10, 6, 3, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +270,11 @@ func TestNormalizedFloodDeterministicWithSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NormalizedFlood(g, 5, 8, 2, xrand.New(9))
+	a, err := nfOnce(g, 5, 8, 2, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NormalizedFlood(g, 5, 8, 2, xrand.New(9))
+	b, err := nfOnce(g, 5, 8, 2, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +288,7 @@ func TestNormalizedFloodDeterministicWithSeed(t *testing.T) {
 func TestRandomWalkBasics(t *testing.T) {
 	t.Parallel()
 	g := pathN(t, 5)
-	res, err := RandomWalk(g, 0, 10, xrand.New(1))
+	res, err := rwOnce(g, 0, 10, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +307,7 @@ func TestRandomWalkDeadEndBacktracks(t *testing.T) {
 	// Two-node graph: the walker bounces between them forever rather
 	// than dying.
 	g := pathN(t, 2)
-	res, err := RandomWalk(g, 0, 6, xrand.New(1))
+	res, err := rwOnce(g, 0, 6, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +319,7 @@ func TestRandomWalkDeadEndBacktracks(t *testing.T) {
 func TestRandomWalkIsolatedSource(t *testing.T) {
 	t.Parallel()
 	g := graph.New(3)
-	res, err := RandomWalk(g, 0, 5, xrand.New(1))
+	res, err := rwOnce(g, 0, 5, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +334,7 @@ func TestRandomWalkHitsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RandomWalk(g, 0, 500, xrand.New(8))
+	res, err := rwOnce(g, 0, 500, xrand.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +351,7 @@ func TestRandomWalkWithNFBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, nf, err := RandomWalkWithNFBudget(g, 17, 10, 2, xrand.New(10))
+	rw, nf, err := rwBudgetOnce(g, 17, 10, 2, xrand.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +398,7 @@ func BenchmarkFloodPA10k(b *testing.B) {
 	rng := xrand.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Flood(g, rng.Intn(g.N()), 10); err != nil {
+		if _, err := floodOnce(g, rng.Intn(g.N()), 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -394,7 +412,7 @@ func BenchmarkNormalizedFloodPA10k(b *testing.B) {
 	rng := xrand.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NormalizedFlood(g, rng.Intn(g.N()), 10, 2, rng); err != nil {
+		if _, err := nfOnce(g, rng.Intn(g.N()), 10, 2, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -97,7 +97,7 @@ func TestHighDegreeWalkBeatsBlindWalkOnPA(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := RandomWalk(g, src, steps, rng)
+		rb, err := rwOnce(g, src, steps, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestProbabilisticFloodP1EqualsFlood(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 800, 2, 11)
 	for _, src := range []int{0, 5, 400} {
-		want, err := Flood(g, src, 6)
+		want, err := floodOnce(g, src, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestProbabilisticFloodCoverageBetween(t *testing.T) {
 	// messages are bounded by full flooding, averaged over trials.
 	g := paGraph(t, 2000, 3, 17)
 	src := 1
-	full, err := Flood(g, src, 5)
+	full, err := floodOnce(g, src, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestHybridSearchFloodPhaseMatchesFlood(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 1000, 2, 31)
 	src, floodTTL := 4, 3
-	flood, err := Flood(g, src, floodTTL)
+	flood, err := floodOnce(g, src, floodTTL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestHybridSearchWalkPhaseExtendsCoverage(t *testing.T) {
 func TestHybridSearchZeroStepsIsFlood(t *testing.T) {
 	t.Parallel()
 	g := paGraph(t, 500, 2, 41)
-	flood, err := Flood(g, 3, 4)
+	flood, err := floodOnce(g, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,12 +75,12 @@ func TestKRandomWalksApproachNF(t *testing.T) {
 	fz := g.Freeze()
 	for s := 0; s < sources; s++ {
 		src := rng.Intn(g.N())
-		nf, err := NormalizedFlood(g, src, ttl, kMin, rng)
+		nf, err := nfOnce(g, src, ttl, kMin, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		budget := nf.Messages[ttl]
-		single, err := RandomWalk(g, src, budget, rng)
+		single, err := rwOnce(g, src, budget, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,8 +52,10 @@ import (
 	"scalefree/internal/xrand"
 )
 
-// Graph is an undirected (multi)graph over dense node IDs; see the methods
-// on graph.Graph for traversal, components, distances, and serialization.
+// Graph is the mutable undirected (multi)graph over dense node IDs that
+// the generators build; see the methods on graph.Graph for edits, degrees,
+// and serialization. Traversal, components, and distances are methods on
+// FrozenTopology (Freeze).
 type Graph = graph.Graph
 
 // NewGraph returns a graph with n isolated nodes.
@@ -62,16 +64,16 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 // FrozenTopology is a compressed-sparse-row (CSR) snapshot of a Graph: the
 // read-only fast path every search kernel and structural metric runs on.
 // Freeze a generated topology once, let the mutable Graph be collected,
-// and run any number of searches against the snapshot — neighbor order is
-// preserved, so results are bit-for-bit identical to searching the Graph
-// directly.
+// and run any number of searches against the snapshot. Neighbor order is
+// preserved, so every traversal and search on it is reproducible from the
+// Graph and the seed alone.
 type FrozenTopology = graph.Frozen
 
 // Freeze snapshots g into CSR form. The convenience functions below that
 // accept a *Graph freeze internally per call; hot loops (many searches or
 // metrics on one topology) should Freeze once and use the
-// *FrozenTopology-based APIs (SearchScratch methods, Graph-method
-// counterparts on FrozenTopology).
+// *FrozenTopology-based APIs (SearchScratch methods, and the traversal,
+// component, and distance methods on FrozenTopology).
 func Freeze(g *Graph) *FrozenTopology { return g.Freeze() }
 
 // ReadEdgeList parses the edge-list format written by Graph.WriteEdgeList.
@@ -173,22 +175,24 @@ func GenerateLocalEvents(cfg LocalEventsConfig, rng *RNG) (*Graph, GenStats, err
 type SearchResult = search.Result
 
 // Flood runs flooding search (FL, §V-A1) from src up to maxTTL hops.
-func Flood(g *Graph, src, maxTTL int) (SearchResult, error) { return search.Flood(g, src, maxTTL) }
+func Flood(g *Graph, src, maxTTL int) (SearchResult, error) {
+	return new(search.Scratch).Flood(g.Freeze(), src, maxTTL)
+}
 
 // NormalizedFlood runs NF search (§V-A2) with fan-out kMin.
 func NormalizedFlood(g *Graph, src, maxTTL, kMin int, rng *RNG) (SearchResult, error) {
-	return search.NormalizedFlood(g, src, maxTTL, kMin, rng)
+	return new(search.Scratch).NormalizedFlood(g.Freeze(), src, maxTTL, kMin, rng)
 }
 
 // RandomWalk runs a non-backtracking random walk of `steps` hops (§V-A3).
 func RandomWalk(g *Graph, src, steps int, rng *RNG) (SearchResult, error) {
-	return search.RandomWalk(g, src, steps, rng)
+	return new(search.Scratch).RandomWalk(g.Freeze(), src, steps, rng)
 }
 
 // RandomWalkWithNFBudget runs RW normalized to NF's message budget, the
 // paper's fair-comparison protocol (§V-B).
 func RandomWalkWithNFBudget(g *Graph, src, maxTTL, kMin int, rng *RNG) (rw, nf SearchResult, err error) {
-	return search.RandomWalkWithNFBudget(g, src, maxTTL, kMin, rng)
+	return new(search.Scratch).RandomWalkWithNFBudget(g.Freeze(), src, maxTTL, kMin, rng)
 }
 
 // SearchScratch owns reusable search state (visited bitset, frontier
@@ -530,7 +534,7 @@ type PercolationPoint = metrics.PercolationPoint
 // independently with probability p — the random-failure half of §III's
 // robust-yet-fragile argument.
 func SitePercolation(g *Graph, steps, trials int, rng *RNG) ([]PercolationPoint, error) {
-	return metrics.SitePercolation(g, steps, trials, rng)
+	return metrics.SitePercolation(g.Freeze(), steps, trials, rng)
 }
 
 // PercolationThreshold estimates where the giant component first reaches
